@@ -9,8 +9,9 @@ One sweep is one ``repro plan run <axes> --cache-dir STORE -o REPORT``
 process, timed from exec to exit, which builds the same plan, ``Session``
 and tables as ``repro sweep`` and writes the canonical report.  Workers are
 left at the CLI default, the CPU count.  The benchmark is a closed loop with
-one client: it starts the next sweep when the previous one has ended, and
-keeps starting sweeps until ``--seconds`` have passed.  A sweep counts as
+one client: it starts the next sweep when the previous one has ended, for
+as long as one more round, as long as the longest so far, still fits in
+``--seconds`` (at least one round).  A sweep counts as
 failed on a non-zero exit, on a timeout, or when the report's SHA-256
 differs from the workload's digest in ``expected.json``.
 
