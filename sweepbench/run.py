@@ -16,7 +16,11 @@ failed on a non-zero exit, on a timeout, or when the report's SHA-256
 differs from the workload's digest in ``expected.json``.
 
 With ``--trace 0`` it prints the end-to-end metrics of ``BENCHMARK.json``,
-medians over the run's sweeps:
+medians over the run's sweeps.  The two times are scaled to a fixed host
+speed: before the first sweep and after each one the runner times
+``REFERENCE``, a fixed piece of work that does not touch the program, and
+multiplies each sweep's times by ``REFERENCE_S`` over the mean of the two
+reference times around it (see :func:`host_scale`):
 
 - ``wall_s``: exec to exit of the sweep process, interpreter teardown included;
 - ``setup_s``: exec until the plan starts to expand: interpreter start,
@@ -68,8 +72,39 @@ SUITES_AXES = ("--designs", "all", "--workloads", "all", "--batches", "1,64,512"
                "--scale", "1", "--fidelity", "analytic")
 
 
+#: The host-speed reference: interpreter start, a pure-Python loop and numpy
+#: prefix maxima, the same kinds of work a sweep does.  It imports nothing
+#: from the repository, so no change to the program moves it.
+REFERENCE = """
+import numpy as np
+s = 0
+for i in range(400000):
+    s += i * i % 7
+a = np.arange(100000, dtype=np.float64)
+for _ in range(100):
+    a = np.maximum.accumulate(a[::-1])
+"""
+
+#: ``REFERENCE``'s exec-to-exit time on the host the bounds were set on, a
+#: 2-vCPU Intel Xeon VM at 2.1 GHz, so scaled times read as seconds there.
+REFERENCE_S = 0.3
+
+
 def now() -> float:
     return time.clock_gettime(time.CLOCK_MONOTONIC)
+
+
+def host_scale(before: float, after: float) -> float:
+    """Factor that takes a time measured between two runs of ``REFERENCE``,
+    which took ``before`` and ``after`` seconds, to the reference host.
+
+    Shared hosts change speed by up to 1.9x over minutes, far more than the
+    bounds allow, and a sweep slows with them.  A single-process reference
+    tracks that drift: on Table I it cut the spread of one-minute medians
+    of wall time from 0.20 to 0.05 of their median.  A parallel reference
+    tracked it worse (0.11).
+    """
+    return 2 * REFERENCE_S / (before + after)
 
 
 # -- fig5_mae: the model's error against the paper's Fig. 5 averages -----------------
@@ -188,6 +223,13 @@ class Runner:
         self.tags = itertools.count()
         self.attempted = 0
         self.failed = 0
+
+    def reference(self) -> float:
+        """Exec-to-exit time of one run of ``REFERENCE``."""
+        t_exec = now()
+        subprocess.run([sys.executable, "-c", REFERENCE], cwd=self.work, env=self.env,
+                       check=True, timeout=SWEEP_TIMEOUT_S)
+        return now() - t_exec
 
     def sweep(self, store: Path, trace: bool = False, jobs: Optional[int] = None) -> Sweep:
         """Run one sweep into ``store`` and check its report."""
@@ -390,14 +432,26 @@ class Bench:
 
     def end_to_end(self) -> Dict[str, List[float]]:
         sweeps: List[Sweep] = []
-        self.rounds(lambda: sweeps.append(self.sweep()))
-        good = [s for s in sweeps if s.ok]
+        references = [self.runner.reference()]
+
+        def one_round() -> None:
+            sweeps.append(self.sweep())
+            references.append(self.runner.reference())
+
+        self.rounds(one_round)
+        good = [(s, host_scale(before, after))
+                for s, before, after in zip(sweeps, references, references[1:]) if s.ok]
+        wall = [s.wall_s for s, _ in good]
+        setup = [s.marks["expand"] - s.marks["exec"] for s, _ in good]
+        print(describe("unscaled wall_s", wall))
+        print(describe("unscaled setup_s", setup))
+        print(describe("reference_s", references))
         # Every good report has the same bytes, so one gives the error.
-        mae = self.workload.fig5_mae(good[0].report.read_text()) if good else 0.0
+        mae = self.workload.fig5_mae(good[0][0].report.read_text()) if good else 0.0
         return {
-            "wall_s": [s.wall_s for s in good],
-            "setup_s": [s.marks["expand"] - s.marks["exec"] for s in good],
-            "peak_rss_mb": [s.rss_mb for s in good],
+            "wall_s": [t * scale for t, (_, scale) in zip(wall, good)],
+            "setup_s": [t * scale for t, (_, scale) in zip(setup, good)],
+            "peak_rss_mb": [s.rss_mb for s, _ in good],
             "ok_frac": [(self.runner.attempted - self.runner.failed) / self.runner.attempted],
             "fig5_mae": [mae],
         }

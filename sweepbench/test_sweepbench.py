@@ -67,6 +67,21 @@ def test_crashing_sweep_is_counted_as_failed(tmp_path, monkeypatch):
     assert values["wall_s"] == []
 
 
+def test_times_are_scaled_by_the_references_around_the_sweep(tmp_path, monkeypatch):
+    bench = _bench("table1-cold", tmp_path)
+    # The host runs the reference at half the reference host's speed.
+    references = iter([0.5, 0.7])
+    monkeypatch.setattr(bench.runner, "reference", lambda: next(references))
+    sweeps = []
+    real_sweep = bench.sweep
+    monkeypatch.setattr(bench, "sweep", lambda: sweeps.append(real_sweep()) or sweeps[-1])
+    values = bench.end_to_end()
+    (sweep,) = sweeps
+    assert values["wall_s"] == [pytest.approx(sweep.wall_s / 2)]
+    setup = sweep.marks["expand"] - sweep.marks["exec"]
+    assert values["setup_s"] == [pytest.approx(setup / 2)]
+
+
 def test_timed_out_sweep_is_killed_and_counted(tmp_path, monkeypatch):
     monkeypatch.setattr(run, "SWEEP_TIMEOUT_S", 0.2)
     bench = _bench("table1-cold", tmp_path)
