@@ -2,20 +2,29 @@
 
 The scalar :class:`repro.cpu.fast.FastCoreModel` re-walks ``Instruction``
 objects once per design — for a table1 sweep that is 8 identical attribute
-walks over every program.  :func:`decode_program` walks a program exactly
-once and produces a :class:`DecodedProgram`: numpy arrays over the whole
-stream (instruction kinds, memory operands) plus, per instruction class,
-the *writer index* of every register operand — the program-order index of
-the instruction whose result the operand reads, or ``-1`` when the operand
-still holds its reset value.
+walks over every program.  A :class:`DecodedProgram` holds the same stream
+once, as numpy arrays (instruction kinds, memory operands) plus, per
+instruction class, the *writer index* of every register operand — the
+program-order index of the instruction whose result the operand reads, or
+``-1`` when the operand still holds its reset value.
 
 Writer indices are the key design move: they eliminate the per-design
 ``tile_ready`` / ``scalar_ready`` register scoreboards entirely.  At run
 time a reader's operand-readiness is simply ``complete[writer]``, so the
 decoded form is design-independent and one decode is shared by all designs
-(and by both the vectorized kernel and any future consumer).  The decode is
-memoized on program identity, riding the same object-reuse discipline as
-:func:`repro.runtime.session.cached_program`.
+(and by both the vectorized kernel and any future consumer).
+
+A decode is built in two steps.  First a producer fills
+:class:`StreamColumns`, one row of register and memory operands per
+instruction: either :func:`stream_columns` walking ``Instruction`` objects,
+or the array-native GEMM lowering in :mod:`repro.workloads.codegen`, which
+never builds objects at all.  Then :func:`resolve` turns the columns into a
+:class:`DecodedProgram`, finding every operand's writer with one
+``searchsorted`` over the stream's register writes — so writer semantics are
+defined once, for both producers.  :func:`decode_program` returns the decode
+a program already carries (the lowering attaches it) and otherwise walks the
+objects once, memoized on program identity, riding the same object-reuse
+discipline as :func:`repro.runtime.session.cached_program`.
 
 This module sits on the deterministic simulation path: no wall clock, no
 randomness (enforced by ``tools/lint_invariants.py``).
@@ -29,7 +38,6 @@ from typing import List, Tuple
 
 import numpy as np
 
-from repro.isa.instructions import NUM_SCALAR_REGS, NUM_TILE_REGS
 from repro.isa.opcodes import Opcode
 from repro.isa.program import Program
 
@@ -39,8 +47,8 @@ KIND_STORE = 1
 KIND_MM = 2
 KIND_ALU = 3
 
-#: Decodes retained; matches the program memo so a decode lives exactly as
-#: long as sweeps keep handing out the same :class:`Program` object.
+#: Object decodes retained; matches the program memo so a decode lives
+#: exactly as long as sweeps keep handing out the same :class:`Program`.
 DECODE_CACHE_SIZE = 256
 
 
@@ -78,99 +86,176 @@ class DecodedProgram:
     mm_b_version: np.ndarray
     # -- scalar ALU / branch ----------------------------------------------
     alu_pos: np.ndarray
-    #: Per ALU op: writer indices of its scalar source registers.
-    alu_reads: Tuple[Tuple[int, ...], ...]
+    #: ``(len(alu_pos), width)`` writers of each ALU op's scalar sources,
+    #: in ISA order; ``-1`` pads ops with fewer than ``width`` sources, which
+    #: reads exactly like a reset-value operand (ready at 0.0).
+    alu_reads: np.ndarray
 
 
-def _decode(program: Program) -> DecodedProgram:
-    """One walk over ``program`` building every array (see module doc)."""
-    tile_writer = [-1] * NUM_TILE_REGS
-    tile_version = [0] * NUM_TILE_REGS
-    scalar_writer = [-1] * NUM_SCALAR_REGS
+@dataclasses.dataclass(frozen=True, eq=False)
+class StreamColumns:
+    """Per-instruction operand columns: the input of :func:`resolve`.
 
-    n = len(program)
-    kind = np.empty(n, dtype=np.int8)
-    load_pos: List[int] = []
-    load_addr: List[int] = []
-    load_stride: List[int] = []
-    store_pos: List[int] = []
-    store_writer: List[int] = []
-    mm_pos: List[int] = []
-    mm_a_writer: List[int] = []
-    mm_b_writer: List[int] = []
-    mm_c_writer: List[int] = []
-    mm_b_reg: List[int] = []
-    mm_b_version: List[int] = []
-    alu_pos: List[int] = []
-    alu_reads: List[Tuple[int, ...]] = []
+    Every array has one row per instruction (int64 unless noted); register
+    columns hold architectural indices, ``-1`` where there is no operand.
+    """
 
-    for i, inst in enumerate(program):
+    #: ``KIND_*`` code per instruction (int8).
+    kind: np.ndarray
+    #: Memory operand of tile loads and stores (0 elsewhere).
+    address: np.ndarray
+    stride: np.ndarray
+    #: Tile register written: a load's destination, an mm's C.
+    tile_dst: np.ndarray
+    #: ``(n, 3)`` tile registers read: a store's source in column 0, an
+    #: mm's ``(C, A, B)``.
+    tile_src: np.ndarray
+    #: Scalar register written.
+    scalar_dst: np.ndarray
+    #: ``(n, width)`` scalar registers read, in ISA order.
+    scalar_src: np.ndarray
+
+
+def stream_columns(program: Program) -> StreamColumns:
+    """One walk over ``program``'s instruction objects, filling the columns."""
+    kind: List[int] = []
+    address: List[int] = []
+    stride: List[int] = []
+    tile_dst: List[int] = []
+    tile_src: List[Tuple[int, ...]] = []
+    scalar_dst: List[int] = []
+    scalar_src: List[Tuple[int, ...]] = []
+    no_tiles = (-1, -1, -1)
+    for inst in program:
         op = inst.opcode
-        if op is Opcode.RASA_TL:
-            assert inst.mem is not None and inst.dst is not None
-            kind[i] = KIND_LOAD
-            load_pos.append(i)
-            load_addr.append(inst.mem.address)
-            load_stride.append(inst.mem.stride)
-            reg = inst.dst.index
-            tile_writer[reg] = i
-            tile_version[reg] += 1
-        elif op is Opcode.RASA_TS:
-            kind[i] = KIND_STORE
-            store_pos.append(i)
-            store_writer.append(tile_writer[inst.srcs[0].index])
-        elif op is Opcode.RASA_MM:
-            kind[i] = KIND_MM
-            a = inst.mm_a.index
-            b = inst.mm_b.index
-            c = inst.mm_c.index
-            mm_pos.append(i)
-            mm_a_writer.append(tile_writer[a])
-            mm_b_writer.append(tile_writer[b])
-            mm_c_writer.append(tile_writer[c])
-            mm_b_reg.append(b)
-            mm_b_version.append(tile_version[b])
-            tile_writer[c] = i
-            tile_version[c] += 1
-        else:  # scalar ALU / branch
-            kind[i] = KIND_ALU
-            alu_pos.append(i)
-            alu_reads.append(
-                tuple(scalar_writer[src.index] for src in inst.scalar_reads)
+        mem = inst.mem
+        address.append(mem.address if mem is not None else 0)
+        stride.append(mem.stride if mem is not None else 0)
+        if op.is_tile:
+            kind.append(
+                KIND_LOAD if op is Opcode.RASA_TL
+                else KIND_STORE if op is Opcode.RASA_TS
+                else KIND_MM
             )
-            for dst in inst.scalar_writes:
-                scalar_writer[dst.index] = i
-
-    def _arr(values: List[int]) -> np.ndarray:
-        return np.asarray(values, dtype=np.int64)
-
-    return DecodedProgram(
-        n=n,
-        kind=kind,
-        load_pos=_arr(load_pos),
-        load_addr=_arr(load_addr),
-        load_stride=_arr(load_stride),
-        store_pos=_arr(store_pos),
-        store_writer=_arr(store_writer),
-        mm_pos=_arr(mm_pos),
-        mm_a_writer=_arr(mm_a_writer),
-        mm_b_writer=_arr(mm_b_writer),
-        mm_c_writer=_arr(mm_c_writer),
-        mm_b_reg=_arr(mm_b_reg),
-        mm_b_version=_arr(mm_b_version),
-        alu_pos=_arr(alu_pos),
-        alu_reads=tuple(alu_reads),
+            tile_dst.append(inst.dst.index if inst.dst is not None else -1)
+            srcs = tuple(src.index for src in inst.srcs)
+            tile_src.append(srcs + no_tiles[len(srcs):])
+            scalar_dst.append(-1)
+            scalar_src.append(())
+        else:  # scalar ALU / branch
+            kind.append(KIND_ALU)
+            tile_dst.append(-1)
+            tile_src.append(no_tiles)
+            writes = inst.scalar_writes
+            scalar_dst.append(writes[0].index if writes else -1)
+            scalar_src.append(tuple(src.index for src in inst.scalar_reads))
+    width = max([1] + [len(srcs) for srcs in scalar_src])
+    padded = [srcs + (-1,) * (width - len(srcs)) for srcs in scalar_src]
+    n = len(kind)
+    return StreamColumns(
+        kind=np.asarray(kind, dtype=np.int8),
+        address=np.asarray(address, dtype=np.int64),
+        stride=np.asarray(stride, dtype=np.int64),
+        tile_dst=np.asarray(tile_dst, dtype=np.int64),
+        tile_src=np.asarray(tile_src, dtype=np.int64).reshape(n, 3),
+        scalar_dst=np.asarray(scalar_dst, dtype=np.int64),
+        scalar_src=np.asarray(padded, dtype=np.int64).reshape(n, width),
     )
 
 
-@functools.lru_cache(maxsize=DECODE_CACHE_SIZE)
-def decode_program(program: Program) -> DecodedProgram:
-    """Memoized :class:`DecodedProgram` for ``program``.
+class _Writes:
+    """Every write to one register file, sorted by ``(register, position)``.
 
-    Keyed on program *identity*: :class:`repro.isa.program.Program` hashes
-    by object, and the session layer (``cached_program``) hands every design
-    the same object per distinct (shape, codegen) point, so all 8 designs
-    share one decode.  A logically equal program built twice decodes twice —
-    wasteful but correct.
+    A write at position ``p`` to register ``r`` is the key ``r * span + p``
+    (``span = n + 1``), so one ``searchsorted`` answers "which writes to
+    ``r`` precede ``p``" for any number of reads at once.
     """
+
+    def __init__(self, dst: np.ndarray) -> None:
+        self.span = len(dst) + 1
+        pos = np.flatnonzero(dst >= 0)
+        # The leading sentinel sorts below every real key, so "the last
+        # write before" always has a valid index to look at.
+        self.keys = np.concatenate(
+            (np.array([-self.span], dtype=np.int64), np.sort(dst[pos] * self.span + pos))
+        )
+
+    def before(self, pos: np.ndarray, reg: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """``(writer, version)`` of register ``reg`` as read at ``pos``.
+
+        ``writer`` is the last instruction before ``pos`` that wrote ``reg``
+        (``-1`` if none, or if ``reg`` is ``-1``: no operand); ``version``
+        counts the writes to ``reg`` before ``pos``.  A read and a write at
+        the same position (an mm's C) see the *previous* writer.
+        """
+        first = np.searchsorted(self.keys, reg * self.span)
+        last = np.searchsorted(self.keys, reg * self.span + pos)
+        version = (last - first).astype(np.int64)
+        writer = np.where(
+            (version > 0) & (reg >= 0), self.keys[last - 1] % self.span, -1
+        ).astype(np.int64)
+        return writer, version
+
+
+def resolve(columns: StreamColumns) -> DecodedProgram:
+    """Resolve every operand's writer: columns -> :class:`DecodedProgram`."""
+    kind = columns.kind
+    load_pos, store_pos, mm_pos, alu_pos = (
+        np.flatnonzero(kind == code).astype(np.int64)
+        for code in (KIND_LOAD, KIND_STORE, KIND_MM, KIND_ALU)
+    )
+    tiles = _Writes(columns.tile_dst)
+    store_writer, _ = tiles.before(store_pos, columns.tile_src[store_pos, 0])
+    mm_c_writer, _ = tiles.before(mm_pos, columns.tile_src[mm_pos, 0])
+    mm_a_writer, _ = tiles.before(mm_pos, columns.tile_src[mm_pos, 1])
+    mm_b_reg = columns.tile_src[mm_pos, 2]
+    mm_b_writer, mm_b_version = tiles.before(mm_pos, mm_b_reg)
+    alu_src = columns.scalar_src[alu_pos]
+    alu_reads, _ = _Writes(columns.scalar_dst).before(alu_pos[:, None], alu_src)
+    return DecodedProgram(
+        n=len(kind),
+        kind=kind,
+        load_pos=load_pos,
+        load_addr=columns.address[load_pos],
+        load_stride=columns.stride[load_pos],
+        store_pos=store_pos,
+        store_writer=store_writer,
+        mm_pos=mm_pos,
+        mm_a_writer=mm_a_writer,
+        mm_b_writer=mm_b_writer,
+        mm_c_writer=mm_c_writer,
+        mm_b_reg=mm_b_reg,
+        mm_b_version=mm_b_version,
+        alu_pos=alu_pos,
+        alu_reads=alu_reads,
+    )
+
+
+def _decode(program: Program) -> DecodedProgram:
+    """Decode ``program`` from its instruction objects (see module doc)."""
+    return resolve(stream_columns(program))
+
+
+@functools.lru_cache(maxsize=DECODE_CACHE_SIZE)
+def _decode_objects(program: Program) -> DecodedProgram:
     return _decode(program)
+
+
+def decode_program(program: Program) -> DecodedProgram:
+    """The :class:`DecodedProgram` of ``program``.
+
+    A program lowered by :func:`repro.workloads.codegen.generate_gemm_program`
+    carries its decode, which is returned as is: no instruction object is
+    built or walked.  Any other program is walked once, memoized on program
+    *identity* (:class:`repro.isa.program.Program` hashes by object); the
+    session layer (``cached_program``) hands every design the same object per
+    distinct (shape, codegen) point, so all 8 designs share one decode.  A
+    logically equal program built twice decodes twice — wasteful but
+    correct.  ``decode_program.cache_info()`` counts the object walks only.
+    """
+    if program.decoded is not None:
+        return program.decoded
+    return _decode_objects(program)
+
+
+decode_program.cache_info = _decode_objects.cache_info

@@ -158,7 +158,7 @@ class FastVecCoreModel:
         mm_b_reg = decoded.mm_b_reg.tolist()
         mm_b_version = decoded.mm_b_version.tolist()
         alu_pos = decoded.alu_pos.tolist()
-        alu_reads = decoded.alu_reads
+        alu_reads = decoded.alu_reads.tolist()
         load_addr = decoded.load_addr
         load_stride = decoded.load_stride
 
@@ -397,10 +397,6 @@ class FastVecCoreModel:
             engine_busy_cycles=engine_busy,
             clock_mhz=core.clock_mhz,
         )
-
-    def _to_engine(self, cpu_cycle: float) -> int:
-        """Convert a CPU-cycle timestamp to the engine clock domain (ceil)."""
-        return int(-(-cpu_cycle // self.ratio))
 
 
 __all__ = ["FastVecCoreModel", "DecodedProgram", "decode_program"]

@@ -7,7 +7,7 @@ scalar loop-overhead instructions the way LIBXSMM-generated kernels do.
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
 from repro.errors import IsaError
 from repro.isa.instructions import (
@@ -21,6 +21,17 @@ from repro.isa.instructions import (
 )
 from repro.isa.opcodes import Opcode
 from repro.isa.program import Program
+
+
+#: One cycle of the scalar loop overhead :meth:`ProgramBuilder.loop_overhead`
+#: emits, as (opcode, destination, sources) in scalar register indices: two
+#: pointer bumps of the counter ``r0``, a compare into ``r1`` and a branch.
+LOOP_OVERHEAD_PATTERN: Tuple[Tuple[Opcode, Optional[int], Tuple[int, ...]], ...] = (
+    (Opcode.ADD, 0, (0,)),
+    (Opcode.ADD, 0, (0,)),
+    (Opcode.CMP, 1, (0,)),
+    (Opcode.BRANCH, None, ()),
+)
 
 
 class ProgramBuilder:
@@ -77,21 +88,20 @@ class ProgramBuilder:
     def loop_overhead(self, count: int, tag: str = "loop") -> "ProgramBuilder":
         """Emit ``count`` scalar instructions modelling address/loop arithmetic.
 
-        The mix (add, add, cmp, branch, ...) approximates the pointer-bump and
-        loop-test code LIBXSMM emits between tile instructions.
+        The mix (:data:`LOOP_OVERHEAD_PATTERN`, repeated) approximates the
+        pointer-bump and loop-test code LIBXSMM emits between tile
+        instructions.
         """
         if count < 0:
             raise IsaError(f"loop_overhead count must be >= 0, got {count}")
-        pattern = (Opcode.ADD, Opcode.ADD, Opcode.CMP, Opcode.BRANCH)
-        counter = ScalarReg(0)
         for i in range(count):
-            op = pattern[i % len(pattern)]
-            if op is Opcode.BRANCH:
-                self.scalar(op, dst=None, srcs=(), tag=tag)
-            elif op is Opcode.CMP:
-                self.scalar(op, dst=ScalarReg(1), srcs=(counter,), tag=tag)
-            else:
-                self.scalar(op, dst=counter, srcs=(counter,), tag=tag)
+            op, dst, srcs = LOOP_OVERHEAD_PATTERN[i % len(LOOP_OVERHEAD_PATTERN)]
+            self.scalar(
+                op,
+                dst=None if dst is None else ScalarReg(dst),
+                srcs=tuple(ScalarReg(src) for src in srcs),
+                tag=tag,
+            )
         return self
 
     # -- finalization ----------------------------------------------------------

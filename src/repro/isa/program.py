@@ -3,10 +3,22 @@
 from __future__ import annotations
 
 import dataclasses
-from typing import Iterable, Iterator, List, Union, overload
+from typing import (
+    TYPE_CHECKING,
+    Callable,
+    Iterable,
+    Iterator,
+    List,
+    Optional,
+    Union,
+    overload,
+)
 
 from repro.isa.instructions import Instruction
 from repro.isa.opcodes import Opcode
+
+if TYPE_CHECKING:
+    from repro.cpu.decode import DecodedProgram
 
 
 @dataclasses.dataclass(frozen=True)
@@ -33,17 +45,59 @@ class Program:
     Programs are what the code generator emits and what both CPU models
     consume.  They behave like immutable sequences; use
     :class:`repro.isa.builder.ProgramBuilder` to construct them.
+
+    A program built with :meth:`lazy` starts as its
+    :class:`repro.cpu.decode.DecodedProgram` alone (:attr:`decoded`): the
+    vectorized ``fast`` model reads only that, so a sweep never pays for
+    instruction objects.  The objects are built on first iteration or
+    indexing and kept; ``len()`` and :attr:`name` never build them.
     """
 
     def __init__(self, instructions: Iterable[Instruction], name: str = "program") -> None:
-        self._instructions: List[Instruction] = list(instructions)
+        self._instructions: Optional[List[Instruction]] = list(instructions)
+        self._build: Optional[Callable[[], Iterable[Instruction]]] = None
+        self._length = len(self._instructions)
         self.name = name
+        #: The structure-of-arrays decode this program carries, if any.
+        self.decoded: Optional["DecodedProgram"] = None
+
+    @classmethod
+    def lazy(
+        cls,
+        decoded: "DecodedProgram",
+        build: Callable[[], Iterable[Instruction]],
+        name: str = "program",
+    ) -> "Program":
+        """A program known by its decode; ``build()`` makes the objects.
+
+        ``build`` must yield exactly the stream ``decoded`` describes (the
+        lowering-oracle tests hold the GEMM lowering to that).
+        """
+        program = cls((), name=name)
+        program._instructions = None
+        program._build = build
+        program._length = decoded.n
+        program.decoded = decoded
+        return program
+
+    @property
+    def is_materialized(self) -> bool:
+        """Whether the instruction objects exist yet."""
+        return self._instructions is not None
+
+    @property
+    def _objects(self) -> List[Instruction]:
+        if self._instructions is None:
+            assert self._build is not None
+            self._instructions = list(self._build())
+            self._build = None
+        return self._instructions
 
     def __len__(self) -> int:
-        return len(self._instructions)
+        return self._length
 
     def __iter__(self) -> Iterator[Instruction]:
-        return iter(self._instructions)
+        return iter(self._objects)
 
     @overload
     def __getitem__(self, index: int) -> Instruction: ...
@@ -54,14 +108,14 @@ class Program:
     def __getitem__(self, index: Union[int, slice]) -> Union[Instruction, "Program"]:
         if isinstance(index, slice):
             return Program(
-                self._instructions[index],
+                self._objects[index],
                 name=f"{self.name}[{index.start}:{index.stop}]",
             )
-        return self._instructions[index]
+        return self._objects[index]
 
     def __add__(self, other: "Program") -> "Program":
         return Program(
-            list(self._instructions) + list(other._instructions),
+            self._objects + other._objects,
             name=f"{self.name}+{other.name}",
         )
 
@@ -69,7 +123,7 @@ class Program:
     def stats(self) -> ProgramStats:
         """Compute the instruction-mix statistics."""
         loads = stores = matmuls = scalars = 0
-        for inst in self._instructions:
+        for inst in self._objects:
             if inst.opcode is Opcode.RASA_TL:
                 loads += 1
             elif inst.opcode is Opcode.RASA_TS:
@@ -79,7 +133,7 @@ class Program:
             else:
                 scalars += 1
         return ProgramStats(
-            total=len(self._instructions),
+            total=len(self),
             tile_loads=loads,
             tile_stores=stores,
             matmuls=matmuls,
@@ -88,7 +142,7 @@ class Program:
 
     def matmuls(self) -> List[Instruction]:
         """Return just the ``rasa_mm`` instructions, in program order."""
-        return [i for i in self._instructions if i.opcode is Opcode.RASA_MM]
+        return [i for i in self._objects if i.opcode is Opcode.RASA_MM]
 
     def weight_reuse_fraction(self) -> float:
         """Fraction of ``rasa_mm`` whose B register repeats the previous mm's B
@@ -98,7 +152,7 @@ class Program:
         reuses = 0
         last_b = None
         dirty = True
-        for inst in self._instructions:
+        for inst in self._objects:
             if inst.opcode is Opcode.RASA_MM:
                 if mms_seen and inst.mm_b == last_b and not dirty:
                     reuses += 1

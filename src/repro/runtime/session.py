@@ -47,7 +47,13 @@ which is what lets one plan fan out across hosts.
 Program generation is itself memoized per process keyed on the *unlabeled*
 ``(shape, codegen)`` (bounded by :data:`PROGRAM_CACHE_SIZE`): the usual
 grid runs every design on the same programs, so each worker lowers each
-distinct GEMM only once.
+distinct GEMM only once.  The lowering is array-native
+(:mod:`repro.workloads.codegen`): it emits the structure-of-arrays decode
+the ``fast`` backend reads (:class:`repro.cpu.decode.DecodedProgram`)
+directly, and the program builds its ``Instruction`` objects only when a
+consumer iterates or indexes it — the ``fast-ref``/``ooo``/``engine``
+backends, the verifier, bounds and asm.  A ``fast`` sweep never builds
+them at all.
 """
 
 from __future__ import annotations

@@ -70,6 +70,16 @@ class HostMatrix:
             )
         return self.base + row * self.stride + col * self.element_bytes
 
+    def tile_addresses(self, row_tiles: np.ndarray, col_tiles: np.ndarray) -> np.ndarray:
+        """Vectorized :meth:`tile_address`: same arithmetic, same range check."""
+        rows = np.asarray(row_tiles, dtype=np.int64) * ROWS
+        cols = np.asarray(col_tiles, dtype=np.int64) * self.tile_cols_elems
+        if np.any(rows >= self.rows) or np.any(cols >= self.cols):
+            raise TileError(
+                f"tile out of range for {self.rows}x{self.cols} matrix {self.name!r}"
+            )
+        return self.base + rows * self.stride + cols * self.element_bytes
+
     @property
     def row_tiles(self) -> int:
         return -(-self.rows // ROWS)

@@ -9,17 +9,38 @@ loop overhead standing in for the pointer arithmetic between tile ops.
 The generator also lays the three operand matrices out in simulation memory
 (A row-major BF16, B VNNI-packed BF16, C row-major FP32) so the very same
 program can be executed functionally and checked against the NumPy oracle.
+
+The stream is lowered straight to its structure-of-arrays decode
+(:class:`repro.cpu.decode.DecodedProgram`), which is all the vectorized
+``fast`` model reads: each register block's instructions are laid out once
+per block geometry (a GEMM has at most four — full, right edge, bottom edge,
+corner) as a table of operand columns, tiled over the K steps, gathered into
+block order with numpy, and given their ``HostMatrix`` tile addresses.  The
+``Instruction`` objects — what asm, the verifier, the bounds and the
+``fast-ref``/``ooo``/``engine`` models walk — are built through
+:func:`_emit_block` only when something iterates or indexes the program
+(:meth:`repro.isa.program.Program.lazy`).  The lowering-oracle tests hold the
+two forms field-for-field equal.
 """
 
 from __future__ import annotations
 
 import dataclasses
-from typing import Optional
+import functools
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.cpu.decode import (
+    KIND_ALU,
+    KIND_LOAD,
+    KIND_MM,
+    KIND_STORE,
+    StreamColumns,
+    resolve,
+)
 from repro.errors import WorkloadError
-from repro.isa.builder import ProgramBuilder
+from repro.isa.builder import LOOP_OVERHEAD_PATTERN, ProgramBuilder
 from repro.isa.program import Program
 from repro.tile.hostmem import HostMatrix, layout_gemm_operands
 from repro.tile.memory import TileMemory
@@ -136,22 +157,165 @@ def _emit_block(
     builder.loop_overhead(options.scalar_overhead_per_block, tag="block")
 
 
+def _emit_program(
+    padded: GemmShape,
+    options: CodegenOptions,
+    a_host: HostMatrix,
+    b_host: HostMatrix,
+    c_host: HostMatrix,
+) -> Program:
+    """The stream as validated ``Instruction`` objects (the object view)."""
+    builder = ProgramBuilder()
+    for block in TileLoopNest(padded, options.blocking).blocks():
+        _emit_block(builder, block, padded, options, a_host, b_host, c_host)
+    return builder.build()
+
+
+# -- array-native lowering ----------------------------------------------------------
+#
+# A template row is one instruction of a register block: its operand columns
+# (kind, tile dst, tile srcs C/A/B, scalar dst, scalar src) and its memory
+# operand as (matrix, block-local row i, block-local column j, K step).  The
+# rows mirror _emit_block's order exactly.
+
+_MATRIX_A, _MATRIX_B, _MATRIX_C = 0, 1, 2
+_NO_TILES = (-1, -1, -1)
+_Row = Tuple[int, ...]
+
+
+def _tile_row(
+    kind: int,
+    dst: int = -1,
+    srcs: Tuple[int, int, int] = _NO_TILES,
+    matrix: int = -1,
+    i: int = 0,
+    j: int = 0,
+) -> _Row:
+    return (kind, dst, *srcs, -1, -1, matrix, i, j)
+
+
+def _overhead_rows(count: int) -> List[_Row]:
+    rows = []
+    for q in range(count):
+        _, dst, srcs = LOOP_OVERHEAD_PATTERN[q % len(LOOP_OVERHEAD_PATTERN)]
+        rows.append((
+            KIND_ALU, -1, *_NO_TILES,
+            -1 if dst is None else dst, srcs[0] if srcs else -1,
+            -1, 0, 0,
+        ))
+    return rows
+
+
+def _block_template(block: Block, k_tiles: int, options: CodegenOptions) -> np.ndarray:
+    """The template rows of one register block, plus its K-step column."""
+    blocking = options.blocking
+    rm, rn = range(block.bm), range(block.bn)
+    c = [[blocking.c_reg(i, j).index for j in rn] for i in rm]
+    a = [blocking.a_reg(i).index for i in rm]
+    b = [blocking.b_reg(j).index for j in rn]
+    head = [_tile_row(KIND_LOAD, dst=c[i][j], matrix=_MATRIX_C, i=i, j=j)
+            for i in rm for j in rn]
+    step = (
+        [_tile_row(KIND_LOAD, dst=a[i], matrix=_MATRIX_A, i=i) for i in rm]
+        + [_tile_row(KIND_LOAD, dst=b[j], matrix=_MATRIX_B, j=j) for j in rn]
+        + [_tile_row(KIND_MM, dst=c[i][j], srcs=(c[i][j], a[i], b[j]))
+           for i, j in block.mm_pairs(blocking.mm_order)]
+        + _overhead_rows(options.scalar_overhead_per_kstep)
+    )
+    tail = (
+        [_tile_row(KIND_STORE, srcs=(c[i][j], -1, -1), matrix=_MATRIX_C, i=i, j=j)
+         for i in rm for j in rn]
+        + _overhead_rows(options.scalar_overhead_per_block)
+    )
+
+    def table(rows: Sequence[_Row]) -> np.ndarray:
+        return np.array(rows, dtype=np.int64).reshape(len(rows), -1)
+
+    body = np.concatenate([table(head), np.tile(table(step), (k_tiles, 1)), table(tail)])
+    k_step = np.concatenate([
+        np.zeros(len(head), dtype=np.int64),
+        np.repeat(np.arange(k_tiles, dtype=np.int64), len(step)),
+        np.zeros(len(tail), dtype=np.int64),
+    ])
+    return np.column_stack([body, k_step])
+
+
+def _lower_columns(
+    padded: GemmShape,
+    options: CodegenOptions,
+    a_host: HostMatrix,
+    b_host: HostMatrix,
+    c_host: HostMatrix,
+) -> StreamColumns:
+    """The whole stream's operand columns, without one ``Instruction``."""
+    blocks = list(TileLoopNest(padded, options.blocking).blocks())
+    geometry_index: Dict[Tuple[int, int], int] = {}
+    templates: List[np.ndarray] = []
+    geometry = np.empty(len(blocks), dtype=np.int64)
+    for b, block in enumerate(blocks):
+        key = (block.bm, block.bn)
+        if key not in geometry_index:
+            geometry_index[key] = len(templates)
+            templates.append(_block_template(block, padded.k_tiles, options))
+        geometry[b] = geometry_index[key]
+    lengths = np.array([len(t) for t in templates], dtype=np.int64)
+    block_len = lengths[geometry]
+    n = int(block_len.sum())
+    # Instruction p of a block starting at s with a template at offset o is
+    # template row o + (p - s): one gather lays every block out in order.
+    template_start = np.cumsum(lengths) - lengths
+    block_start = np.cumsum(block_len) - block_len
+    rows = np.concatenate(templates)[
+        np.arange(n, dtype=np.int64)
+        + np.repeat(template_start[geometry] - block_start, block_len)
+    ]
+    (kind, tile_dst, src_c, src_a, src_b, scalar_dst, scalar_src,
+     matrix, i, j, k) = rows.T
+    m0 = np.repeat(np.array([blk.m0 for blk in blocks], dtype=np.int64), block_len)
+    n0 = np.repeat(np.array([blk.n0 for blk in blocks], dtype=np.int64), block_len)
+    address = np.zeros(n, dtype=np.int64)
+    stride = np.zeros(n, dtype=np.int64)
+    for code, host, row_tile, col_tile in (
+        (_MATRIX_A, a_host, m0 + i, k),
+        (_MATRIX_B, b_host, k, n0 + j),
+        (_MATRIX_C, c_host, m0 + i, n0 + j),
+    ):
+        sel = matrix == code
+        address[sel] = host.tile_addresses(row_tile[sel], col_tile[sel])
+        stride[sel] = host.stride
+    return StreamColumns(
+        kind=kind.astype(np.int8),
+        address=address,
+        stride=stride,
+        tile_dst=tile_dst,
+        tile_src=np.column_stack([src_c, src_a, src_b]),
+        scalar_dst=scalar_dst,
+        scalar_src=scalar_src[:, None],
+    )
+
+
 def build_gemm_kernel(
     shape: GemmShape,
     options: CodegenOptions = CodegenOptions(),
     base_address: int = 0x10000,
 ) -> GemmKernel:
-    """Generate the full kernel (program + operand layout) for ``shape``."""
+    """Generate the full kernel (program + operand layout) for ``shape``.
+
+    The program carries its decode and builds its instruction objects on
+    first use (see the module docstring).
+    """
     padded = GemmShape(
         m=shape.padded_m, n=shape.padded_n, k=shape.padded_k, name=shape.name
     )
     a_host, b_host, c_host = layout_gemm_operands(
         padded.m, padded.n, padded.k, base=base_address
     )
-    builder = ProgramBuilder(name=shape.name or f"gemm_{shape.m}x{shape.n}x{shape.k}")
-    nest = TileLoopNest(padded, options.blocking)
-    for block in nest.blocks():
-        _emit_block(builder, block, padded, options, a_host, b_host, c_host)
+    hosts = (a_host, b_host, c_host)
+    program = Program.lazy(
+        resolve(_lower_columns(padded, options, *hosts)),
+        functools.partial(_emit_program, padded, options, *hosts),
+        name=shape.name or f"gemm_{shape.m}x{shape.n}x{shape.k}",
+    )
     return GemmKernel(
         shape=shape,
         padded=padded,
@@ -159,7 +323,7 @@ def build_gemm_kernel(
         a_host=a_host,
         b_host=b_host,
         c_host=c_host,
-        program=builder.build(),
+        program=program,
     )
 
 

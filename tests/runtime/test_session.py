@@ -9,8 +9,10 @@ from repro.engine.designs import DESIGNS
 from repro.errors import ExperimentError, SimError
 from repro.runtime import ResultCache, Session, SweepPlan
 from repro.runtime.registry import FIDELITIES, resolve_backend
-from repro.workloads.codegen import generate_gemm_program
+from repro.runtime.session import cached_program
+from repro.workloads.codegen import CodegenOptions, generate_gemm_program
 from repro.workloads.gemm import GemmShape
+from repro.workloads.suites import get_suite
 
 SMALL = GemmShape(64, 64, 64, name="small")
 TALL = GemmShape(128, 32, 64, name="tall")
@@ -232,6 +234,20 @@ class TestPersistentPool:
         session = Session(workers=1)
         session.run(grid_plan())
         assert session._pool is None
+
+
+class TestArrayNativeSweep:
+    def test_fast_table1_sweep_never_builds_instruction_objects(self):
+        """The fast tier reads the decode the lowering carries, nothing else."""
+        cached_program.cache_clear()
+        plan = SweepPlan(designs=tuple(DESIGNS), suites=("table1",), scale=4)
+        report = Session(workers=1).run(plan)
+        assert report.simulated == 9 * len(DESIGNS)
+        shapes = [g.shape for g in get_suite("table1", scale=4).distinct()]
+        programs = [cached_program(shape, CodegenOptions()) for shape in shapes]
+        assert cached_program.cache_info().misses == len(shapes)
+        assert all(p.decoded is not None for p in programs)
+        assert not any(p.is_materialized for p in programs)
 
 
 class TestLargeFanOut:
