@@ -99,17 +99,18 @@ from repro.experiments.ppa_sweep import fig6_performance_per_area
 from repro.experiments.runner import (
     ExperimentSettings,
     geometric_mean,
+    run_design,
     workload_shapes,
 )
 from repro.experiments.runtime_sweep import fig5_normalized_runtime
-from repro.experiments.suite_batch_sweep import curve_point_counts, suite_batch_sweep
+from repro.experiments.suite_batch_sweep import suite_batch_sweep
 from repro.experiments.toy import fig1_toy_example
 from repro.experiments.utilization_sweep import fig2_utilization
 from repro.isa.assembler import assemble, disassemble
 from repro.isa.trace import load_trace, save_trace
 from repro.runtime.cache import ResultCache, default_cache_dir
 from repro.runtime.plan import SweepPlan, SweepReport, _suite_name
-from repro.runtime.registry import FIDELITIES, resolve_backend
+from repro.runtime.registry import FIDELITIES
 from repro.runtime.session import Session
 from repro.service.client import ServiceClient, validate_port
 from repro.service.coordinator import Coordinator, ServiceConfig
@@ -117,7 +118,6 @@ from repro.service.server import DEFAULT_PORT, create_server
 from repro.service.store import JobStore, ShardState
 from repro.service.worker import ShardWorker
 from repro.utils.tables import format_table
-from repro.workloads.codegen import CodegenOptions, generate_gemm_program
 from repro.workloads.gemm import GemmShape
 from repro.workloads.layers import TABLE1_LAYERS
 from repro.workloads.suites import SUITES, get_suite, suite_names
@@ -170,6 +170,29 @@ def _add_session_knobs(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--verify", action="store_true",
                         help="statically lint each distinct program before "
                              "simulating (fails on any diagnostic)")
+
+
+def _add_program_targets(parser: argparse.ArgumentParser) -> None:
+    """The shared program-target flags (``lint`` and ``bounds``).
+
+    :func:`_lint_targets` expands them: one ad-hoc ``--m/--n/--k`` GEMM or
+    the distinct programs of registered suites (no baseline insertion).
+    """
+    parser.add_argument("--m", type=int, help="ad-hoc GEMM M (with --n/--k)")
+    parser.add_argument("--n", type=int, help="ad-hoc GEMM N")
+    parser.add_argument("--k", type=int, help="ad-hoc GEMM K")
+    parser.add_argument("--workloads", default=None,
+                        help='comma-separated suite names or "all" '
+                             "(default: table1)")
+    parser.add_argument("--designs", default="all",
+                        help='"all" or comma-separated design keys to check '
+                             "(default: all)")
+    parser.add_argument("--batch", type=int, default=None,
+                        help="override a suite's streamed-rows (batch) dimension")
+    parser.add_argument("--scale", type=int, default=4,
+                        help="divide each workload dimension by this (default 4)")
+    parser.add_argument("--json", action="store_true",
+                        help="emit the full report as JSON instead of a table")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -374,27 +397,13 @@ def _build_parser() -> argparse.ArgumentParser:
              "hazards) and cross-check static counters against the analytic "
              "and fast models",
     )
-    lint.add_argument("--m", type=int, help="ad-hoc GEMM M (with --n/--k)")
-    lint.add_argument("--n", type=int, help="ad-hoc GEMM N")
-    lint.add_argument("--k", type=int, help="ad-hoc GEMM K")
-    lint.add_argument("--workloads", default=None,
-                      help='comma-separated suite names or "all" '
-                           "(default: table1)")
-    lint.add_argument("--designs", default="all",
-                      help='"all" or comma-separated design keys for the '
-                           "counter oracle (default: all)")
-    lint.add_argument("--batch", type=int, default=None,
-                      help="override a suite's streamed-rows (batch) dimension")
-    lint.add_argument("--scale", type=int, default=4,
-                      help="divide each workload dimension by this (default 4)")
+    _add_program_targets(lint)
     lint.add_argument("--no-oracle", action="store_true",
                       help="skip the three-way counter cross-check "
                            "(diagnostics and hazards only)")
     lint.add_argument("--bounds", action="store_true",
                       help="also run the cycle-level bound oracle "
                            "(LB <= fast <= UB per design; see: repro bounds)")
-    lint.add_argument("--json", action="store_true",
-                      help="emit the full report as JSON instead of a table")
 
     bounds = sub.add_parser(
         "bounds",
@@ -403,23 +412,7 @@ def _build_parser() -> argparse.ArgumentParser:
              "attribution — cross-checked against the analytic and fast "
              "models (exit 1 on any violated bound)",
     )
-    bounds.add_argument("--m", type=int, help="ad-hoc GEMM M (with --n/--k)")
-    bounds.add_argument("--n", type=int, help="ad-hoc GEMM N")
-    bounds.add_argument("--k", type=int, help="ad-hoc GEMM K")
-    bounds.add_argument("--workloads", default=None,
-                        help='comma-separated suite names or "all" '
-                             "(default: table1)")
-    bounds.add_argument("--designs", default="all",
-                        help='"all" or comma-separated design keys '
-                             "(default: all)")
-    bounds.add_argument("--batch", type=int, default=None,
-                        help="override a suite's streamed-rows (batch) "
-                             "dimension")
-    bounds.add_argument("--scale", type=int, default=4,
-                        help="divide each workload dimension by this "
-                             "(default 4)")
-    bounds.add_argument("--json", action="store_true",
-                        help="emit the full report as JSON instead of a table")
+    _add_program_targets(bounds)
 
     asm = sub.add_parser("asm", help="assemble .rasa text into a JSONL trace")
     asm.add_argument("source", type=Path)
@@ -529,18 +522,9 @@ def _cmd_fig(args) -> int:
     return 0
 
 
-def _simulate(design_key: str, shape: GemmShape, fidelity: str = "fast"):
-    backend = resolve_backend(design_key, fidelity=fidelity)
-    run_shape = getattr(backend, "run_shape", None)
-    if run_shape is not None:  # shape-level fidelity (analytic): no program
-        return run_shape(shape, CodegenOptions())
-    program = generate_gemm_program(shape)
-    return backend.prepare(program).run()
-
-
 def _cmd_simulate(args) -> int:
     shape = GemmShape(m=args.m, n=args.n, k=args.k, name="cli")
-    result = _simulate(args.design, shape, args.fidelity)
+    result = run_design(args.design, shape, fidelity=args.fidelity)
     print(f"design      : {get_design(args.design).label}")
     print(f"workload    : {shape}")
     print(f"fidelity    : {args.fidelity}")
@@ -1123,91 +1107,44 @@ def _print_report_tables(report: SweepReport) -> None:
             _print_suite_tables(report)
 
 
-def _cmd_sweep_suite_batches(args, plan: SweepPlan) -> int:
-    """Suite batch mode: Fig. 7-style curves per model, dedup across batches."""
-    session = _session_from_args(args)
-    start = time.perf_counter()
-    report = session.run(plan)
-    elapsed = time.perf_counter() - start
-
-    _print_curve_tables(report)
-    # Key dedup collapses points across suites AND batches (tile-padded
-    # dims), so count the padded union against the naive per-batch total.
-    names = [_suite_name(entry) for entry in plan.suites]
-    distinct, expanded = curve_point_counts(
-        names, plan.batches, plan.scale, design_count=len(plan.designs),
-        lowering=plan.lowering_config(),
-    )
-    line = (
-        f"{distinct} distinct points for {expanded} per-batch suite points "
-        f"({expanded / distinct:.1f}x cross-batch dedup) in {elapsed:.2f}s"
-    )
-    if session.cache is not None:
-        line += (
-            f" — {report.simulated} simulated, {report.cache_hits} cached "
-            f"({session.cache.path})"
-        )
-    else:
-        line += f" — {distinct} simulated, cache disabled"
-    print(line)
-    return 0
-
-
-def _cmd_sweep_suites(args, plan: SweepPlan) -> int:
-    """Suite mode: simulate distinct shapes only, report end-to-end totals."""
-    session = _session_from_args(args)
-    start = time.perf_counter()
-    report = session.run(plan)
-    elapsed = time.perf_counter() - start
-
-    _print_suite_tables(report)
-    # The plan dedups across suites too — by tile-padded dims, the cache
-    # key identity — so count the padded union.
-    built = [suite for suite, _ in plan.built_suites()]
-    distinct_dims = {
-        e.shape.tile_padded().dims for suite in built for e in suite.distinct()
-    }
-    distinct = len(distinct_dims) * len(plan.designs)
-    layer_runs = sum(len(suite) for suite in built) * len(plan.designs)
-    line = (
-        f"{distinct} distinct points for {layer_runs} suite GEMM runs "
-        f"({layer_runs / distinct:.1f}x dedup) in {elapsed:.2f}s"
-    )
-    if session.cache is not None:
-        # The report counters record what actually ran: one simulation per
-        # missed point, one hit per point served from the store.
-        line += (
-            f" — {report.simulated} simulated, {report.cache_hits} cached "
-            f"({session.cache.path})"
-        )
-    else:
-        line += f" — {distinct} simulated, cache disabled"
-    print(line)
-    return 0
-
-
 def _cmd_sweep(args) -> int:
     plan = _plan_from_args(args)
-    if plan.suites:
-        if plan.batches is not None:
-            return _cmd_sweep_suite_batches(args, plan)
-        return _cmd_sweep_suites(args, plan)
-
     session = _session_from_args(args)
     start = time.perf_counter()
     report = session.run(plan)
     elapsed = time.perf_counter() - start
 
-    _print_grid_tables(report)
-    jobs = len(plan.workloads) * len(plan.designs)
-    if session.cache is not None:
-        print(
-            f"{jobs} simulations in {elapsed:.2f}s — cache: "
-            f"{report.cache_hits} hits, {report.simulated} misses "
-            f"({session.cache.path})"
+    _print_report_tables(report)
+    # The plan dedups by cache key — tile-padded dims, across suites and
+    # batches — so its own counts are what simulates on a cold cache.
+    distinct, jobs = len(plan.distinct_keys()), plan.job_count()
+    cache = session.cache
+    if not plan.suites:
+        where = (
+            f"cache: {report.cache_hits} hits, {report.simulated} misses "
+            f"({cache.path})"
+            if cache is not None
+            else "cache disabled"
+        )
+        print(f"{jobs} simulations in {elapsed:.2f}s — {where}")
+        return 0
+    if plan.batches is not None:
+        head = (
+            f"{distinct} distinct points for {jobs} per-batch suite points "
+            f"({jobs / distinct:.1f}x cross-batch dedup)"
         )
     else:
-        print(f"{jobs} simulations in {elapsed:.2f}s — cache disabled")
+        runs = sum(len(suite) for suite, _ in plan.built_suites()) * len(plan.designs)
+        head = (
+            f"{distinct} distinct points for {runs} suite GEMM runs "
+            f"({runs / distinct:.1f}x dedup)"
+        )
+    where = (
+        f"{report.cache_hits} cached ({cache.path})"
+        if cache is not None
+        else "cache disabled"
+    )
+    print(f"{head} in {elapsed:.2f}s — {report.simulated} simulated, {where}")
     return 0
 
 

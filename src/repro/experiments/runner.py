@@ -1,7 +1,7 @@
 """Common experiment plumbing, now a thin client of :mod:`repro.runtime`.
 
-Every simulation below goes through the backend registry
-(:func:`repro.runtime.resolve_backend`) and every grid is declared as a
+Every simulation below goes through the runtime's one backend dispatch
+(:func:`repro.runtime.session.execute_job`) and every grid is declared as a
 :class:`repro.runtime.SweepPlan` and executed by the shared
 :class:`repro.runtime.Session` (:func:`default_session`) — parallel across
 worker processes and memoized in the on-disk result cache.  Environment
@@ -29,9 +29,8 @@ from repro.cpu.config import CoreConfig
 from repro.cpu.result import SimResult
 from repro.engine.designs import DESIGNS
 from repro.errors import ExperimentError
-from repro.runtime.plan import SweepPlan
-from repro.runtime.registry import resolve_backend
-from repro.runtime.session import Session, cached_program
+from repro.runtime.plan import SweepJob, SweepPlan
+from repro.runtime.session import Session, execute_job
 from repro.workloads.codegen import CodegenOptions
 from repro.workloads.gemm import GemmShape
 from repro.workloads.layers import table1_gemms
@@ -90,16 +89,22 @@ def run_design(
     settings: ExperimentSettings = DEFAULT_SETTINGS,
     fidelity: str = "fast",
 ) -> SimResult:
-    """Generate the stream for ``shape`` and simulate it on one design.
+    """Simulate ``shape`` on one design, uncached and in-process.
 
-    Shape-level fidelities (``analytic``) skip generation entirely.
+    A thin call to :func:`repro.runtime.session.execute_job`, the one
+    backend dispatch sweeps use too: shape-level fidelities (``analytic``)
+    skip generation entirely, the rest share the per-process program memo.
+    ``settings.scale`` is not applied — ``shape`` runs as given.
     """
-    backend = resolve_backend(design_key, fidelity=fidelity, core=settings.core)
-    run_shape = getattr(backend, "run_shape", None)
-    if run_shape is not None:
-        return run_shape(shape, settings.codegen)
-    program = cached_program(shape, settings.codegen)
-    return backend.prepare(program).run()
+    return execute_job(
+        SweepJob(
+            design_key=design_key,
+            shape=shape,
+            core=settings.core,
+            codegen=settings.codegen,
+            fidelity=fidelity,
+        )
+    )
 
 
 @functools.lru_cache(maxsize=8)

@@ -25,7 +25,7 @@ spatial product without touching filters or channels.
 from __future__ import annotations
 
 import dataclasses
-from typing import Dict, Iterable, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, Optional, Sequence, Tuple
 
 from repro.engine.designs import DESIGNS
 from repro.errors import ExperimentError
@@ -40,7 +40,6 @@ from repro.runtime.plan import SuiteBatchCurve, SweepPlan
 from repro.runtime.session import Session
 from repro.utils.tables import format_table
 from repro.workloads.ops import DEFAULT_LOWERING, LoweringConfig
-from repro.workloads.suites import SUITES
 
 #: The batch axis the per-model curves sweep by default.
 DEFAULT_SUITE_BATCHES: Sequence[int] = (1, 4, 16, 64, 256, 1024)
@@ -66,8 +65,8 @@ class SuiteBatchSweep:
     batches: Tuple[int, ...]
     scale: int
     curves: Dict[str, Dict[str, SuiteBatchCurve]]
-    simulated_points: int   # distinct padded points actually submitted
-    expanded_points: int    # sum over batches of per-batch distinct points
+    simulated_points: int   # the plan's distinct keys (cold-cache simulations)
+    expanded_points: int    # the plan's jobs: per-batch distinct points
 
     def series(self) -> Dict[str, Dict[int, float]]:
         """``series[suite][batch]`` — normalized runtime vs the baseline."""
@@ -105,30 +104,6 @@ class SuiteBatchSweep:
         )
 
 
-def curve_point_counts(
-    names: Sequence[str],
-    batches: Sequence[int],
-    scale: int,
-    design_count: int,
-    lowering: LoweringConfig = DEFAULT_LOWERING,
-) -> Tuple[int, int]:
-    """(distinct padded points submitted, naive per-batch point count).
-
-    Mirrors the runtime layer's dedup identity — tile-padded dims — so
-    the report's dedup factor matches what actually simulated on a cold
-    cache.
-    """
-    padded: Set[Tuple[int, int, int]] = set()
-    expanded = 0
-    for name in names:
-        for batch in batches:
-            suite = SUITES[name].build(batch=batch, scale=scale, lowering=lowering)
-            entries = suite.distinct()
-            expanded += len(entries)
-            padded.update(entry.shape.tile_padded().dims for entry in entries)
-    return len(padded) * design_count, expanded * design_count
-
-
 def suite_batch_sweep(
     settings: ExperimentSettings = DEFAULT_SETTINGS,
     suites: Optional[Iterable[str]] = None,
@@ -154,10 +129,9 @@ def suite_batch_sweep(
             "suite_batch_sweep normalizes against 'baseline'; pick a "
             "non-baseline design_key to plot"
         )
-    names = list(suites if suites is not None else DEFAULT_CURVE_SUITES)
     plan = SweepPlan(
         designs=("baseline", design_key),
-        suites=tuple(names),
+        suites=tuple(suites if suites is not None else DEFAULT_CURVE_SUITES),
         batches=tuple(batches),
         scale=settings.scale,
         scale_batch=lowering.scale_batch,
@@ -167,14 +141,11 @@ def suite_batch_sweep(
         fidelity=fidelity,
     )
     curves = _resolve_session(session).run(plan).batch_curves()
-    simulated, expanded = curve_point_counts(
-        names, tuple(batches), settings.scale, design_count=2, lowering=lowering
-    )
     return SuiteBatchSweep(
         design_key=design_key,
         batches=tuple(batches),
         scale=settings.scale,
         curves=curves,
-        simulated_points=simulated,
-        expanded_points=expanded,
+        simulated_points=len(plan.distinct_keys()),
+        expanded_points=plan.job_count(),
     )

@@ -581,6 +581,22 @@ class SweepPlan:
         owned = set(sorted(distinct)[index::count])
         return tuple(key for key in distinct if key in owned)
 
+    def owned_jobs(self) -> Dict[str, SweepJob]:
+        """The first job for each key in :meth:`shard_keys`, in that order.
+
+        The one selection of what a run of this plan executes: every
+        distinct point the plan (shard) owns, exactly once.  Memoized like
+        :meth:`job_keys`; callers must not mutate the mapping.
+        """
+        cached = self.__dict__.get("_owned_jobs")
+        if cached is None:
+            first: Dict[str, SweepJob] = {}
+            for key, job in zip(self.job_keys(), self.expanded_jobs()):
+                first.setdefault(key, job)
+            cached = {key: first[key] for key in self.shard_keys()}
+            object.__setattr__(self, "_owned_jobs", cached)
+        return cached
+
     # -- sharding ------------------------------------------------------------------
 
     def unsharded(self) -> "SweepPlan":

@@ -54,48 +54,29 @@ def register_backend(name: str) -> Callable[[BackendFactory], BackendFactory]:
     return _register
 
 
-@register_backend("analytic")
-def _analytic_factory(
-    engine: EngineConfig, core: CoreConfig, functional: str
-) -> SimBackend:
-    if functional != "off":
-        raise ConfigError(
-            "the 'analytic' fidelity is timing-only; functional execution "
-            "requires fidelity='engine'"
-        )
-    return AnalyticBackend(engine, core)
+def _register_timing_only(
+    name: str, backend_cls: Callable[[EngineConfig, CoreConfig], SimBackend]
+) -> None:
+    """Register ``backend_cls(engine, core)`` as timing-only fidelity ``name``.
+
+    Timing-only backends model no data movement, so any functional mode
+    but ``"off"`` is refused with one message naming the fidelity.
+    """
+
+    @register_backend(name)
+    def _factory(engine: EngineConfig, core: CoreConfig, functional: str) -> SimBackend:
+        if functional != "off":
+            raise ConfigError(
+                f"the {name!r} fidelity is timing-only; functional execution "
+                "requires fidelity='engine'"
+            )
+        return backend_cls(engine, core)
 
 
-@register_backend("fast")
-def _fast_factory(engine: EngineConfig, core: CoreConfig, functional: str) -> SimBackend:
-    if functional != "off":
-        raise ConfigError(
-            "the 'fast' fidelity is timing-only; functional execution "
-            "requires fidelity='engine'"
-        )
-    return FastCoreBackend(engine, core)
-
-
-@register_backend("fast-ref")
-def _fast_ref_factory(
-    engine: EngineConfig, core: CoreConfig, functional: str
-) -> SimBackend:
-    if functional != "off":
-        raise ConfigError(
-            "the 'fast-ref' fidelity is timing-only; functional execution "
-            "requires fidelity='engine'"
-        )
-    return FastRefBackend(engine, core)
-
-
-@register_backend("ooo")
-def _ooo_factory(engine: EngineConfig, core: CoreConfig, functional: str) -> SimBackend:
-    if functional != "off":
-        raise ConfigError(
-            "the 'ooo' fidelity is timing-only; functional execution "
-            "requires fidelity='engine'"
-        )
-    return OoOCoreBackend(engine, core)
+_register_timing_only("analytic", AnalyticBackend)
+_register_timing_only("fast", FastCoreBackend)
+_register_timing_only("fast-ref", FastRefBackend)
+_register_timing_only("ooo", OoOCoreBackend)
 
 
 @register_backend("engine")

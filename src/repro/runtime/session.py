@@ -39,10 +39,15 @@ task's result never arrives, so the run eventually blocks until
 interrupted; every completed point still flushes on that interrupt via
 the same ``finally``.)
 
-Sharded plans (:meth:`repro.runtime.plan.SweepPlan.shard`) run only the
-distinct keys the shard owns; the partial reports merge bit-identically
-into the unsharded result (:meth:`repro.runtime.plan.SweepReport.merge`),
-which is what lets one plan fan out across hosts.
+What a run executes is one selection,
+:meth:`repro.runtime.plan.SweepPlan.owned_jobs`: the first job for each
+distinct key the plan owns — all of them unsharded, the shard's slice of
+a sharded plan (:meth:`repro.runtime.plan.SweepPlan.shard`).  Both
+:meth:`Session.run` and :meth:`Session.bounds` consume it, and the
+partial reports merge bit-identically into the unsharded result
+(:meth:`repro.runtime.plan.SweepReport.merge`), which is what lets one
+plan fan out across hosts.  Every simulation goes through
+:func:`execute_job`, the one place a job is dispatched to its backend.
 
 Program generation is itself memoized per process keyed on the *unlabeled*
 ``(shape, codegen)`` (bounded by :data:`PROGRAM_CACHE_SIZE`): the usual
@@ -63,7 +68,16 @@ import multiprocessing
 import multiprocessing.pool
 import os
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable, Dict, Iterator, Optional, Sequence
+from typing import (
+    TYPE_CHECKING,
+    Callable,
+    Dict,
+    Iterable,
+    Iterator,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 if TYPE_CHECKING:
     from repro.analysis.bounds import BoundsReport, BoundsSweep
@@ -103,12 +117,15 @@ cached_program.cache_info = _unlabeled_program.cache_info
 cached_program.cache_clear = _unlabeled_program.cache_clear
 
 
-def _execute_job(job: SweepJob) -> SimResult:
+def execute_job(job: SweepJob) -> SimResult:
     """Simulate one job (top-level so worker processes can unpickle it).
 
-    Shape-level backends (``run_shape``, e.g. the analytic fidelity) skip
-    program generation entirely — no lowering, no instruction walk; the
-    program-based fidelities go through the per-process program memo.
+    The one backend dispatch: sweeps and
+    :func:`repro.experiments.runner.run_design` (``repro simulate``) all
+    land here.  Shape-level backends (``run_shape``, e.g. the analytic
+    fidelity) skip program generation entirely — no lowering, no
+    instruction walk; the program-based fidelities go through the
+    per-process program memo.
     """
     backend = resolve_backend(job.design_key, fidelity=job.fidelity, core=job.core)
     run_shape = getattr(backend, "run_shape", None)
@@ -126,7 +143,7 @@ def _execute_indexed(item: "tuple[int, SweepJob]") -> "tuple[int, SimResult]":
     cache; the index maps each arrival back to its key.
     """
     index, job = item
-    return index, _execute_job(job)
+    return index, execute_job(job)
 
 
 def _pool_context() -> multiprocessing.context.BaseContext:
@@ -229,11 +246,12 @@ class Session:
         """Execute a plan (or the shard of it the plan owns).
 
         Each job's key (a canonical-JSON SHA-256) is computed exactly once
-        per run; dedup, the cache lookup, the shard filter, the miss
-        write-back and the report's positional views all reuse the
-        precomputed keys.  Results completed before a mid-run crash are
-        already in the cache — write-back streams per result and flushes
-        in a ``finally``.
+        per run; the owned-point selection
+        (:meth:`~repro.runtime.plan.SweepPlan.owned_jobs`), the cache
+        lookup, the miss write-back and the report's positional views all
+        reuse the precomputed keys.  Results completed before a mid-run
+        crash are already in the cache — write-back streams per result and
+        flushes in a ``finally``.
 
         Args:
             plan: the declarative sweep description.
@@ -243,27 +261,19 @@ class Session:
                 service worker forwards it into heartbeat payloads so a
                 nearly-done shard is visible before a reaper requeue.
         """
-        jobs = plan.expanded_jobs()  # one expansion + one hash per job, ever
-        keys = plan.job_keys()
-        distinct: Dict[str, SweepJob] = {}
-        for key, job in zip(keys, jobs):
-            if key not in distinct:
-                distinct[key] = job
-        if plan.shard_spec is not None:
-            owned = set(plan.shard_keys())  # the partition's single source
-            distinct = {k: j for k, j in distinct.items() if k in owned}
+        owned = plan.owned_jobs()
         if self.verify:
-            self._verify_jobs(distinct.values())
+            self._verify_jobs(owned.values())
         results: Dict[str, SimResult] = {}
         misses: Dict[str, SweepJob] = {}
-        for key, job in distinct.items():
+        for key, job in owned.items():
             cached = self.cache.get(key) if self.cache is not None else None
             if cached is not None:
                 results[key] = cached
             else:
                 misses[key] = job
         miss_keys = list(misses)
-        total = len(distinct)
+        total = len(owned)
         completed = len(results)
         if progress is not None:
             progress(completed, total)
@@ -282,7 +292,7 @@ class Session:
             plan=plan,
             results=results,
             simulated=len(misses),
-            cache_hits=len(distinct) - len(misses),
+            cache_hits=len(owned) - len(misses),
         )
 
     def bounds(self, plan: SweepPlan) -> "BoundsSweep":
@@ -292,7 +302,8 @@ class Session:
         owned distinct cache key to its
         :class:`~repro.analysis.bounds.BoundsReport` — no simulation, no
         cache: the bounds are pure functions of (program, design, core).
-        Dedup and sharding follow :meth:`run` exactly, so shard sweeps
+        The points are :meth:`~repro.runtime.plan.SweepPlan.owned_jobs`,
+        the same selection :meth:`run` executes, so shard sweeps
         :meth:`~repro.analysis.bounds.BoundsSweep.merge` bit-identically
         into the unsharded result.  Reports memoize per session on the
         point's bound identity (design, tile-padded unlabeled shape,
@@ -300,17 +311,8 @@ class Session:
         """
         from repro.analysis import bounds as bounds_analysis  # deferred, like verify
 
-        jobs = plan.expanded_jobs()
-        keys = plan.job_keys()
-        distinct: Dict[str, SweepJob] = {}
-        for key, job in zip(keys, jobs):
-            if key not in distinct:
-                distinct[key] = job
-        if plan.shard_spec is not None:
-            owned = set(plan.shard_keys())
-            distinct = {k: j for k, j in distinct.items() if k in owned}
         reports: "Dict[str, BoundsReport]" = {}
-        for key, job in distinct.items():
+        for key, job in plan.owned_jobs().items():
             identity = (
                 job.design_key,
                 job.shape.tile_padded().unlabeled(),
@@ -325,7 +327,7 @@ class Session:
             reports[key] = self._bounds_memo[identity]
         return bounds_analysis.BoundsSweep(reports=reports)
 
-    def _verify_jobs(self, jobs: "Iterable[SweepJob]") -> None:
+    def _verify_jobs(self, jobs: Iterable[SweepJob]) -> None:
         """Lint every distinct program before simulation (``verify=True``).
 
         Diagnostics are design-independent — the stream is a function of
@@ -367,7 +369,7 @@ class Session:
             return
         if self.workers <= 1 or len(jobs) == 1:
             for index, job in enumerate(jobs):
-                yield index, _execute_job(job)
+                yield index, execute_job(job)
             return
         # Batch IPC: one task per job was one pickled round trip per point,
         # which dominated wall time once the analytic tier made the points

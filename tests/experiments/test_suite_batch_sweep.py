@@ -12,6 +12,7 @@ from repro.experiments.suite_batch_sweep import (
     suite_batch_sweep,
 )
 from repro.runtime import Session, SweepPlan
+from repro.workloads.suites import get_suite
 
 SETTINGS = ExperimentSettings(scale=16)
 BATCHES = (1, 4, 16, 64, 256, 1024)
@@ -53,6 +54,27 @@ class TestSuiteBatchSweep:
 
     def test_cross_batch_dedup_counted(self, sweep):
         assert 0 < sweep.simulated_points < sweep.expanded_points
+
+    def test_point_counts_come_from_the_plan(self, sweep):
+        plan = SweepPlan(
+            designs=("baseline", sweep.design_key),
+            suites=("bert-base", "dlrm"),
+            batches=BATCHES,
+            scale=SETTINGS.scale,
+            core=SETTINGS.core,
+            codegen=SETTINGS.codegen,
+        )
+        assert sweep.simulated_points == len(plan.distinct_keys())
+        assert sweep.expanded_points == plan.job_count()
+        # Independent recount: tile-padded dims across suites and batches.
+        padded, expanded = set(), 0
+        for name in ("bert-base", "dlrm"):
+            for batch in BATCHES:
+                entries = get_suite(name, batch=batch, scale=SETTINGS.scale).distinct()
+                expanded += len(entries)
+                padded.update(entry.shape.tile_padded().dims for entry in entries)
+        assert sweep.simulated_points == 2 * len(padded)
+        assert sweep.expanded_points == 2 * expanded
 
     def test_matches_per_batch_suite_plan_oracle(self, sweep):
         """Every curve point equals a standalone single-batch suite plan."""

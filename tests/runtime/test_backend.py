@@ -54,8 +54,10 @@ class TestRegistry:
             resolve_backend("bogus-design")
 
     def test_functional_rejected_on_timing_only_fidelities(self):
-        for fidelity in ("fast", "ooo"):
-            with pytest.raises(ConfigError, match="timing-only"):
+        for fidelity in ("analytic", "fast", "fast-ref", "ooo"):
+            with pytest.raises(
+                ConfigError, match=f"the '{fidelity}' fidelity is timing-only"
+            ):
                 resolve_backend("baseline", fidelity=fidelity, functional="oracle")
 
     def test_bad_functional_mode(self):

@@ -363,6 +363,41 @@ class TestSharding:
         assert plan.shard(1, 2).unsharded() == plan
 
 
+class TestOwnedJobs:
+    def test_unsharded_holds_the_first_job_per_distinct_key(self):
+        plan = suite_plan(batches=(1, 2, 64))
+        owned = plan.owned_jobs()
+        assert tuple(owned) == plan.distinct_keys()
+        first = {}
+        for key, job in zip(plan.job_keys(), plan.expanded_jobs()):
+            first.setdefault(key, job)
+        for key, job in owned.items():
+            assert job is first[key]
+
+    def test_first_occurrence_wins_over_later_labels(self):
+        subtile = GemmShape(60, 64, 64, name="subtile")  # pads onto SMALL
+        plan = grid_plan(workloads=(("small", SMALL), ("subtile", subtile)))
+        owned = plan.owned_jobs()
+        assert len(owned) == 2  # one padded program x two designs
+        assert {job.workload for job in owned.values()} == {"small"}
+
+    def test_shards_partition_the_unsharded_mapping(self):
+        plan = suite_plan(batches=(1, 64, 512))
+        whole = plan.owned_jobs()
+        shards = [plan.shard(i, 3) for i in range(3)]
+        merged = {}
+        for shard in shards:
+            part = shard.owned_jobs()
+            assert tuple(part) == shard.shard_keys()
+            merged.update(part)
+        assert sum(len(shard.owned_jobs()) for shard in shards) == len(whole)
+        assert merged == whole
+
+    def test_memoized_per_plan_instance(self):
+        plan = grid_plan()
+        assert plan.owned_jobs() is plan.owned_jobs()
+
+
 class TestReportViews:
     @pytest.fixture(scope="class")
     def session(self):

@@ -63,6 +63,13 @@ def test_shards_partition_the_keys():
         a.merge(doctored)
 
 
+@pytest.mark.parametrize("index", [0, 1, 2])
+def test_shard_reports_cover_exactly_the_owned_jobs(index):
+    shard = plan().shard(index, 3)
+    sweep = Session(workers=1).bounds(shard)
+    assert list(sweep.reports) == list(shard.owned_jobs())
+
+
 def test_bounds_memoize_per_distinct_program(monkeypatch):
     calls = []
     real = bounds_analysis.bound_program
