@@ -29,8 +29,8 @@ TOP_K = 5
 
 def main() -> None:
     codegen = CodegenOptions()
-    # One model per design: probe memoization amortizes across every grid
-    # point that lands on the same register-block geometry.
+    # The scheduler probes are memoized per process, so every grid point
+    # that lands on an already-probed register-block geometry reuses them.
     models = {key: AnalyticCoreModel(engine=d.config) for key, d in DESIGNS.items()}
 
     start = time.perf_counter()

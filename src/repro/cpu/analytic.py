@@ -44,6 +44,7 @@ tests and :mod:`repro.experiments.analytic_validation`.
 from __future__ import annotations
 
 import dataclasses
+import functools
 from typing import Dict, List, Optional, Tuple
 
 from repro.cpu.config import CoreConfig
@@ -185,13 +186,209 @@ def _block_structure(shape: GemmShape, blocking: BlockingConfig) -> _BlockStruct
     )
 
 
+#: Bound of each per-process probe memo.  A probe is keyed on its full
+#: inputs — (engine, geometry [pair], blocking), plus core, codegen and step
+#: count for the warmup — and one design's whole suite catalog at every
+#: batch and scale needs at most a dozen keys per memo, so this holds every
+#: design's probes at once with room for ad-hoc blockings and
+#: register-scaling variants.
+PROBE_CACHE_SIZE = 1024
+
+
+# -- scheduler probes ------------------------------------------------------------
+#
+# Pure functions of their arguments, memoized once per process: every
+# backend, model and pool worker in the process shares one set of probes,
+# so a sweep pays each (engine, geometry, blocking) probe once, not once per
+# point.  They return tuples so no caller can mutate a shared value.
+
+
+def _feedback_step(
+    scheduler: EngineScheduler,
+    geom: _Geometry,
+    blocking: BlockingConfig,
+    version: int,
+    prev_completes: Optional[Dict[Tuple[int, int], int]],
+) -> Tuple[Tuple[StageTimes, ...], Dict[Tuple[int, int], int]]:
+    """Schedule one K step, honoring the loop-carried C dependency.
+
+    In the fast model's steady state an mm's issue floor is exactly the
+    completion of the same block position one K step earlier (loads and
+    dispatch run far ahead): ``ceil(complete·ratio / ratio) ==
+    complete``.  The first step of a block passes zero (C freshly
+    loaded).  B registers are rewritten every step, so the weight key's
+    version component is the step counter.
+    """
+    step: List[StageTimes] = []
+    completes: Dict[Tuple[int, int], int] = {}
+    for i, j in geom.mm_pairs(blocking.mm_order):
+        ready = prev_completes.get((i, j), 0) if prev_completes else 0
+        times = scheduler.schedule_mm(
+            ready_b=ready, ready_ac=ready, weight_key=(j, version)
+        )
+        completes[(i, j)] = times.complete
+        step.append(times)
+    return tuple(step), completes
+
+
+@functools.lru_cache(maxsize=PROBE_CACHE_SIZE)
+def _settled(
+    engine: EngineConfig, geom: _Geometry, blocking: BlockingConfig
+) -> Tuple[float, Tuple[StageTimes, ...]]:
+    """Settled per-K-step completion delta (and final step pattern)."""
+    scheduler = EngineScheduler(engine)
+    completes: Optional[Dict[Tuple[int, int], int]] = None
+    ends: List[int] = []
+    step: Tuple[StageTimes, ...] = ()
+    for version in range(_SETTLE_STEPS):
+        step, completes = _feedback_step(
+            scheduler, geom, blocking, version, completes
+        )
+        ends.append(step[-1].complete)
+    deltas = [b - a for a, b in zip(ends, ends[1:])]
+    # Max-plus recurrences can settle into a short limit cycle;
+    # averaging the last two periods absorbs a period-2 oscillation.
+    return (deltas[-1] + deltas[-2]) / 2.0, step
+
+
+@functools.lru_cache(maxsize=PROBE_CACHE_SIZE)
+def _block_profile(
+    engine: EngineConfig,
+    prev_geom: _Geometry,
+    geom: _Geometry,
+    blocking: BlockingConfig,
+) -> Tuple[Tuple[int, ...], Tuple[Tuple[StageTimes, ...], ...]]:
+    """Per-step deltas for the first K steps of a ``geom`` block.
+
+    The probe primes the scheduler into the end-of-block regime of
+    ``prev_geom`` (the state carried across a block boundary is just
+    the last mm's stage times), then measures the opening steps of the
+    next block: step one has a fresh C block (compressed), subsequent
+    steps re-enter the C-feedback recurrence.
+    """
+    scheduler = EngineScheduler(engine)
+    completes: Optional[Dict[Tuple[int, int], int]] = None
+    version = 0
+    for _ in range(_PRIME_STEPS):
+        _, completes = _feedback_step(
+            scheduler, prev_geom, blocking, version, completes
+        )
+        version += 1
+    anchor = scheduler.last.complete
+    deltas: List[int] = []
+    patterns: List[Tuple[StageTimes, ...]] = []
+    completes = None  # block boundary: the C block is reloaded
+    for _ in range(_PROFILE_STEPS):
+        step, completes = _feedback_step(
+            scheduler, geom, blocking, version, completes
+        )
+        version += 1
+        deltas.append(step[-1].complete - anchor)
+        anchor = step[-1].complete
+        patterns.append(step)
+    return tuple(deltas), tuple(patterns)
+
+
+def _block_time(
+    engine: EngineConfig,
+    prev_geom: _Geometry,
+    geom: _Geometry,
+    k_tiles: int,
+    blocking: BlockingConfig,
+) -> float:
+    """Engine cycles one ``geom`` block adds after a ``prev_geom`` block."""
+    deltas, _ = _block_profile(engine, prev_geom, geom, blocking)
+    measured = min(k_tiles, _PROFILE_STEPS)
+    total = float(sum(deltas[:measured]))
+    if k_tiles > _PROFILE_STEPS:
+        settled, _ = _settled(engine, geom, blocking)
+        total += (k_tiles - _PROFILE_STEPS) * settled
+    return total
+
+
+# -- warmup: exact replay of the first block's prefix ------------------------------
+
+
+@functools.lru_cache(maxsize=PROBE_CACHE_SIZE)
+def _warmup(
+    core: CoreConfig,
+    engine: EngineConfig,
+    first_geom: _Geometry,
+    k_steps: int,
+    codegen: CodegenOptions,
+) -> Tuple[int, int, Tuple[StageTimes, ...]]:
+    """Replay the first ``k_steps`` K steps with exact readiness.
+
+    Mirrors :meth:`repro.cpu.fast.FastCoreModel.run` for the stream
+    prefix the code generator emits for the first register block: C
+    loads, then per K step A/B loads, mms, and scalar overhead.  The
+    prefix stays under the ROB window by construction, so dispatch is
+    purely fetch-paced.  Returns ``(first_wl, last_complete, last
+    step's StageTimes)`` in engine cycles.
+    """
+    ratio = core.engine_clock_ratio(engine.clock_mhz)
+    blocking = codegen.blocking
+    scheduler = EngineScheduler(engine)
+    inv_fetch = 1.0 / core.fetch_width
+    transfer = core.tile_transfer_cycles
+    load_latency = core.l1_latency + transfer
+
+    dispatch = float(core.frontend_latency)
+    load_ports = [0.0] * core.load_ports
+    ready: Dict[Tuple[str, int], float] = {}
+
+    def do_load(reg: Tuple[str, int]) -> None:
+        nonlocal dispatch
+        dispatch += inv_fetch
+        port = min(range(len(load_ports)), key=load_ports.__getitem__)
+        start = max(dispatch, load_ports[port])
+        load_ports[port] = start + transfer
+        ready[reg] = start + load_latency
+
+    bm, bn = first_geom.bm, first_geom.bn
+    for i in range(bm):
+        for j in range(bn):
+            do_load(("c", i * bn + j))
+
+    first_wl: Optional[int] = None
+    last_step: List[StageTimes] = []
+    for step in range(k_steps):
+        for i in range(bm):
+            do_load(("a", i))
+        for j in range(bn):
+            do_load(("b", j))
+        last_step = []
+        for i, j in first_geom.mm_pairs(blocking.mm_order):
+            dispatch += inv_fetch
+            operands = max(
+                dispatch, ready[("a", i)], ready[("b", j)],
+                ready[("c", i * bn + j)],
+            )
+            engine_ready = int(-(-operands // ratio))
+            times = scheduler.schedule_mm(
+                ready_b=engine_ready, ready_ac=engine_ready, weight_key=(j, step)
+            )
+            if first_wl is None:
+                first_wl = times.wl_start
+            ready[("c", i * bn + j)] = float(times.complete * ratio)
+            last_step.append(times)
+        dispatch += inv_fetch * codegen.scalar_overhead_per_kstep
+    return (
+        first_wl if first_wl is not None else 0,
+        last_step[-1].complete,
+        tuple(last_step),
+    )
+
+
 class AnalyticCoreModel:
     """Closed-form (GemmShape, design) -> :class:`SimResult` estimation.
 
-    Probe results are memoized per (geometry, geometry) pair, so sweeping
-    many shapes against one design reuses a handful of scheduler probes.
-    Assumes the runtime's default ideal memory (fixed-latency tile loads);
-    custom memory hierarchies need the fast model.
+    The scheduler probes behind each estimate are memoized per process on
+    their full inputs (see :data:`PROBE_CACHE_SIZE`), so every model in a
+    process — one per sweep job included — shares them: sweeping many
+    shapes against one design runs a handful of probes in total.  Assumes
+    the runtime's default ideal memory (fixed-latency tile loads); custom
+    memory hierarchies need the fast model.
     """
 
     def __init__(
@@ -202,184 +399,6 @@ class AnalyticCoreModel:
         self.core = core
         self.engine = engine if engine is not None else EngineConfig()
         self.ratio = core.engine_clock_ratio(self.engine.clock_mhz)
-        self._settled_cache: Dict[
-            Tuple[_Geometry, BlockingConfig], Tuple[float, List[StageTimes]]
-        ] = {}
-        self._profile_cache: Dict[
-            Tuple[_Geometry, _Geometry, BlockingConfig],
-            Tuple[List[int], List[List[StageTimes]]],
-        ] = {}
-
-    # -- scheduler probes ----------------------------------------------------------
-
-    def _feedback_step(
-        self,
-        scheduler: EngineScheduler,
-        geom: _Geometry,
-        blocking: BlockingConfig,
-        version: int,
-        prev_completes: Optional[Dict[Tuple[int, int], int]],
-    ) -> Tuple[List[StageTimes], Dict[Tuple[int, int], int]]:
-        """Schedule one K step, honoring the loop-carried C dependency.
-
-        In the fast model's steady state an mm's issue floor is exactly the
-        completion of the same block position one K step earlier (loads and
-        dispatch run far ahead): ``ceil(complete·ratio / ratio) ==
-        complete``.  The first step of a block passes zero (C freshly
-        loaded).  B registers are rewritten every step, so the weight key's
-        version component is the step counter.
-        """
-        step: List[StageTimes] = []
-        completes: Dict[Tuple[int, int], int] = {}
-        for i, j in geom.mm_pairs(blocking.mm_order):
-            ready = prev_completes.get((i, j), 0) if prev_completes else 0
-            times = scheduler.schedule_mm(
-                ready_b=ready, ready_ac=ready, weight_key=(j, version)
-            )
-            completes[(i, j)] = times.complete
-            step.append(times)
-        return step, completes
-
-    def _settled(
-        self, geom: _Geometry, blocking: BlockingConfig
-    ) -> Tuple[float, List[StageTimes]]:
-        """Settled per-K-step completion delta (and final step pattern)."""
-        key = (geom, blocking)
-        if key not in self._settled_cache:
-            scheduler = EngineScheduler(self.engine)
-            completes: Optional[Dict[Tuple[int, int], int]] = None
-            ends: List[int] = []
-            step: List[StageTimes] = []
-            for version in range(_SETTLE_STEPS):
-                step, completes = self._feedback_step(
-                    scheduler, geom, blocking, version, completes
-                )
-                ends.append(step[-1].complete)
-            deltas = [b - a for a, b in zip(ends, ends[1:])]
-            # Max-plus recurrences can settle into a short limit cycle;
-            # averaging the last two periods absorbs a period-2 oscillation.
-            delta = (deltas[-1] + deltas[-2]) / 2.0
-            self._settled_cache[key] = (delta, step)
-        return self._settled_cache[key]
-
-    def _block_profile(
-        self, prev_geom: _Geometry, geom: _Geometry, blocking: BlockingConfig
-    ) -> Tuple[List[int], List[List[StageTimes]]]:
-        """Per-step deltas for the first K steps of a ``geom`` block.
-
-        The probe primes the scheduler into the end-of-block regime of
-        ``prev_geom`` (the state carried across a block boundary is just
-        the last mm's stage times), then measures the opening steps of the
-        next block: step one has a fresh C block (compressed), subsequent
-        steps re-enter the C-feedback recurrence.
-        """
-        key = (prev_geom, geom, blocking)
-        if key not in self._profile_cache:
-            scheduler = EngineScheduler(self.engine)
-            completes: Optional[Dict[Tuple[int, int], int]] = None
-            version = 0
-            for _ in range(_PRIME_STEPS):
-                _, completes = self._feedback_step(
-                    scheduler, prev_geom, blocking, version, completes
-                )
-                version += 1
-            anchor = scheduler.last.complete
-            deltas: List[int] = []
-            patterns: List[List[StageTimes]] = []
-            completes = None  # block boundary: the C block is reloaded
-            for _ in range(_PROFILE_STEPS):
-                step, completes = self._feedback_step(
-                    scheduler, geom, blocking, version, completes
-                )
-                version += 1
-                deltas.append(step[-1].complete - anchor)
-                anchor = step[-1].complete
-                patterns.append(step)
-            self._profile_cache[key] = (deltas, patterns)
-        return self._profile_cache[key]
-
-    def _block_time(
-        self,
-        prev_geom: _Geometry,
-        geom: _Geometry,
-        k_tiles: int,
-        blocking: BlockingConfig,
-    ) -> float:
-        """Engine cycles one ``geom`` block adds after a ``prev_geom`` block."""
-        deltas, _ = self._block_profile(prev_geom, geom, blocking)
-        measured = min(k_tiles, _PROFILE_STEPS)
-        total = float(sum(deltas[:measured]))
-        if k_tiles > _PROFILE_STEPS:
-            settled, _ = self._settled(geom, blocking)
-            total += (k_tiles - _PROFILE_STEPS) * settled
-        return total
-
-    # -- warmup: exact replay of the first block's prefix --------------------------
-
-    def _warmup(
-        self,
-        first_geom: _Geometry,
-        k_steps: int,
-        codegen: CodegenOptions,
-    ) -> Tuple[int, int, List[StageTimes]]:
-        """Replay the first ``k_steps`` K steps with exact readiness.
-
-        Mirrors :meth:`repro.cpu.fast.FastCoreModel.run` for the stream
-        prefix the code generator emits for the first register block: C
-        loads, then per K step A/B loads, mms, and scalar overhead.  The
-        prefix stays under the ROB window by construction, so dispatch is
-        purely fetch-paced.  Returns ``(first_wl, last_complete, last
-        step's StageTimes)`` in engine cycles.
-        """
-        core = self.core
-        ratio = self.ratio
-        blocking = codegen.blocking
-        scheduler = EngineScheduler(self.engine)
-        inv_fetch = 1.0 / core.fetch_width
-        transfer = core.tile_transfer_cycles
-        load_latency = core.l1_latency + transfer
-
-        dispatch = float(core.frontend_latency)
-        load_ports = [0.0] * core.load_ports
-        ready: Dict[Tuple[str, int], float] = {}
-
-        def do_load(reg: Tuple[str, int]) -> None:
-            nonlocal dispatch
-            dispatch += inv_fetch
-            port = min(range(len(load_ports)), key=load_ports.__getitem__)
-            start = max(dispatch, load_ports[port])
-            load_ports[port] = start + transfer
-            ready[reg] = start + load_latency
-
-        bm, bn = first_geom.bm, first_geom.bn
-        for i in range(bm):
-            for j in range(bn):
-                do_load(("c", i * bn + j))
-
-        first_wl: Optional[int] = None
-        last_step: List[StageTimes] = []
-        for step in range(k_steps):
-            for i in range(bm):
-                do_load(("a", i))
-            for j in range(bn):
-                do_load(("b", j))
-            last_step = []
-            for i, j in first_geom.mm_pairs(blocking.mm_order):
-                dispatch += inv_fetch
-                operands = max(
-                    dispatch, ready[("a", i)], ready[("b", j)],
-                    ready[("c", i * bn + j)],
-                )
-                engine_ready = int(-(-operands // ratio))
-                times = scheduler.schedule_mm(
-                    ready_b=engine_ready, ready_ac=engine_ready, weight_key=(j, step)
-                )
-                if first_wl is None:
-                    first_wl = times.wl_start
-                ready[("c", i * bn + j)] = float(times.complete * ratio)
-                last_step.append(times)
-            dispatch += inv_fetch * codegen.scalar_overhead_per_kstep
-        return first_wl if first_wl is not None else 0, last_step[-1].complete, last_step
 
     # -- the public entry point ----------------------------------------------------
 
@@ -389,10 +408,11 @@ class AnalyticCoreModel:
         codegen: CodegenOptions = CodegenOptions(),
     ) -> SimResult:
         """Estimate the fast model's :class:`SimResult` for ``shape``."""
+        engine = self.engine
         blocking = codegen.blocking
         k_t = shape.k_tiles
         structure = _block_structure(shape, blocking)
-        bypasses_on = self.engine.control.bypasses_on_reuse
+        bypasses_on = engine.control.bypasses_on_reuse
 
         # -- exact counts ----------------------------------------------------------
         mm_count = shape.m_tiles * shape.n_tiles * shape.k_tiles
@@ -419,29 +439,29 @@ class AnalyticCoreModel:
 
         # -- engine timeline -------------------------------------------------------
         warm_steps = min(_WARMUP_STEPS, k_t)
-        first_wl, warm_end, warm_tail = self._warmup(
-            structure.first, warm_steps, codegen
+        first_wl, warm_end, warm_tail = _warmup(
+            self.core, engine, structure.first, warm_steps, codegen
         )
         engine_last = float(warm_end)
         if k_t > warm_steps:
-            settled, _ = self._settled(structure.first, blocking)
+            settled, _ = _settled(engine, structure.first, blocking)
             engine_last += (k_t - warm_steps) * settled
         for (g1, g2), count in structure.boundary.items():
-            engine_last += count * self._block_time(g1, g2, k_t, blocking)
+            engine_last += count * _block_time(engine, g1, g2, k_t, blocking)
 
         # The final K step's per-mm completion offsets, for the store tail.
         if structure.penultimate is None:
             if k_t <= warm_steps:
                 pattern = warm_tail
             else:
-                _, pattern = self._settled(structure.last, blocking)
+                _, pattern = _settled(engine, structure.last, blocking)
         elif k_t <= _PROFILE_STEPS:
-            _, patterns = self._block_profile(
-                structure.penultimate, structure.last, blocking
+            _, patterns = _block_profile(
+                engine, structure.penultimate, structure.last, blocking
             )
             pattern = patterns[k_t - 1]
         else:
-            _, pattern = self._settled(structure.last, blocking)
+            _, pattern = _settled(engine, structure.last, blocking)
         tail_offsets = [pattern[-1].complete - t.complete for t in pattern]
 
         # -- the CPU-side tail: stores, scalar overhead, retire pacing -------------
@@ -475,7 +495,7 @@ class AnalyticCoreModel:
         cycles = int(-(-max(retire, floor) // 1))
 
         return SimResult(
-            design=self.engine.describe(),
+            design=engine.describe(),
             program=shape.name or f"gemm_{shape.m}x{shape.n}x{shape.k}",
             cycles=cycles,
             instructions=instructions,

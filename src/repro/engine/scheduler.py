@@ -85,6 +85,9 @@ class EngineScheduler:
 
     def __init__(self, config: EngineConfig) -> None:
         self.config = config
+        # EngineConfig is frozen, so its derived durations are read once here
+        # rather than rebuilt (and re-validated) on every schedule_mm call.
+        self._stages = config.stages
         self._prev: Optional[StageTimes] = None
         self._resident_weights: Optional[Hashable] = None
         self._count = 0
@@ -141,7 +144,7 @@ class EngineScheduler:
             The scheduled :class:`StageTimes`.
         """
         config = self.config
-        stages = config.stages
+        stages = self._stages
         prev = self._prev
         policy = config.control
 

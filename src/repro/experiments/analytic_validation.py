@@ -13,7 +13,9 @@ The analytic fidelity (:mod:`repro.cpu.analytic`) promises two things:
 :func:`validate_analytic` samples (suite x design x distinct shape) points,
 runs both fidelities through :func:`repro.experiments.runner.run_design`,
 and returns a structured report.  The test suite asserts ``report.ok``;
-``python -m repro.experiments.analytic_validation`` prints the table.
+``python -c "from repro.experiments.analytic_validation import main; main()"``
+prints the table and exits 1 on failure (``python -m`` also works but warns,
+since :mod:`repro.experiments` imports this module eagerly).
 """
 
 from __future__ import annotations

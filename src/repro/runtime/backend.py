@@ -122,9 +122,11 @@ class AnalyticBackend:
 
     This backend deliberately does *not* implement the program-based
     :class:`SimBackend` phases: the whole point of the analytic tier is
-    that no program ever exists.  Probe memoization lives in the model, so
-    holding one backend across a sweep amortizes the scheduler probes over
-    every shape that hits the same block geometries.
+    that no program ever exists.  Construction is cheap and holds no state
+    worth keeping: the scheduler probes are memoized per process
+    (:data:`repro.cpu.analytic.PROBE_CACHE_SIZE`), so the fresh backend
+    the session builds for every job still reuses every probe an earlier
+    job ran against the same design and block geometries.
     """
 
     fidelity = "analytic"

@@ -58,7 +58,12 @@ the ``fast`` backend reads (:class:`repro.cpu.decode.DecodedProgram`)
 directly, and the program builds its ``Instruction`` objects only when a
 consumer iterates or indexes it — the ``fast-ref``/``ooo``/``engine``
 backends, the verifier, bounds and asm.  A ``fast`` sweep never builds
-them at all.
+them at all.  The ``analytic`` fidelity lowers nothing; its counterpart is
+the per-process scheduler-probe memo of :mod:`repro.cpu.analytic`
+(bounded by :data:`repro.cpu.analytic.PROBE_CACHE_SIZE`), keyed on the
+full probe inputs, so each distinct (design, block geometry, blocking)
+probe runs once per process — forked workers inherit the warm memo like
+the program cache — rather than once per point.
 """
 
 from __future__ import annotations

@@ -12,7 +12,9 @@ from __future__ import annotations
 
 import pytest
 
+from repro.cpu import analytic
 from repro.cpu.analytic import ANALYTIC_CYCLE_ERROR_BOUND, AnalyticCoreModel
+from repro.cpu.config import CoreConfig
 from repro.cpu.fast import FastCoreModel
 from repro.cpu.result import SimResult
 from repro.engine.designs import DESIGNS, get_design
@@ -25,8 +27,11 @@ from repro.experiments.analytic_validation import (
     validate_analytic,
 )
 from repro.physical.energy import EnergyBreakdown, EnergyModel
+from repro.runtime.plan import SweepPlan
+from repro.runtime.session import execute_job
 from repro.workloads.codegen import CodegenOptions, generate_gemm_program
 from repro.workloads.gemm import GemmShape
+from repro.workloads.suites import SUITES
 from repro.workloads.tiling import BlockingConfig, MMOrder
 
 #: Scaled-down settings: full-size layers shrink 16x per dimension, so the
@@ -106,6 +111,80 @@ class TestSuiteValidation:
     def test_empty_sample_rejected(self):
         with pytest.raises(ExperimentError):
             validate_analytic(suites=())
+
+
+#: The process-wide scheduler-probe memos of :mod:`repro.cpu.analytic`.
+PROBE_MEMOS = ("_settled", "_block_profile", "_warmup")
+
+
+def _clear_probe_memos() -> None:
+    for name in PROBE_MEMOS:
+        getattr(analytic, name).cache_clear()
+
+
+def _suite_plan(designs=tuple(DESIGNS), **overrides) -> SweepPlan:
+    return SweepPlan(
+        designs=designs,
+        suites=tuple(SUITES),
+        batches=(1, 64, 512),
+        fidelity="analytic",
+        **overrides,
+    )
+
+
+class TestProbeMemo:
+    """The probe memos are keyed on every input that changes a probe.
+
+    A memo keyed on too little hands one point another point's probe, so
+    the result depends on which points ran first in the process.
+    """
+
+    def test_results_independent_of_order_and_memo_state(self):
+        jobs = [
+            job
+            for plan in (
+                _suite_plan(),
+                _suite_plan(
+                    scale=4,
+                    codegen=CodegenOptions(blocking=BlockingConfig(
+                        bm=2, bn=2, mm_order=MMOrder.ALTERNATE
+                    )),
+                ),
+                _suite_plan(scale=4, core=CoreConfig(load_ports=1, l1_latency=9)),
+            )
+            for job in plan.owned_jobs().values()
+        ]
+        _clear_probe_memos()
+        forward = [execute_job(job) for job in jobs]
+        _clear_probe_memos()
+        backward = [execute_job(job) for job in reversed(jobs)][::-1]
+        cold = []
+        for job in jobs:
+            _clear_probe_memos()
+            cold.append(execute_job(job))
+        assert forward == cold
+        assert backward == cold
+
+    def test_one_probe_per_distinct_key(self, monkeypatch):
+        """A one-design sweep misses each memo once per distinct key."""
+        memos = {name: getattr(analytic, name) for name in PROBE_MEMOS}
+        requested = {name: set() for name in PROBE_MEMOS}
+        _clear_probe_memos()
+        for name, memo in memos.items():
+
+            def spy(*args, _memo=memo, _keys=requested[name]):
+                _keys.add(args)
+                return _memo(*args)
+
+            monkeypatch.setattr(analytic, name, spy)
+        jobs = _suite_plan(designs=("rasa-dmdb-wls",)).owned_jobs()
+        for job in jobs.values():
+            execute_job(job)
+        for name, memo in memos.items():
+            assert memo.cache_info().misses == len(requested[name]), name
+        # Hundreds of points share about a dozen probes per memo.
+        assert len(jobs) > 100
+        assert all(len(keys) <= 16 for keys in requested.values())
 
 
 def _result(cycles: int, mm_count: int = 4) -> SimResult:

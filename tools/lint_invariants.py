@@ -5,8 +5,9 @@ Two rules, both load-bearing for result-cache correctness:
 
 1. **Frozen cache-key dataclasses.**  Every dataclass defined in a module on
    the cache-key path (workload shapes, codegen options, sweep plans, design
-   configs) must be declared ``@dataclasses.dataclass(frozen=True)``.  These
-   objects are hashed into result-cache keys and program memos; a mutable
+   configs, the analytic tier's probe geometries and stage times) must be
+   declared ``@dataclasses.dataclass(frozen=True)``.  These objects are
+   hashed into result-cache keys and program/probe memos; a mutable
    one could be altered after keying, silently detaching cached results from
    what they describe.  ``ALLOW_MUTABLE`` lists the reviewed exceptions
    (e.g. ``GemmKernel``, which is constructed then handed out whole and
@@ -48,8 +49,8 @@ from typing import List, Tuple
 REPO = pathlib.Path(__file__).resolve().parent.parent
 SRC = REPO / "src"
 
-#: Modules whose dataclasses feed result-cache keys / program memos, and
-#: which therefore must also stay deterministic.
+#: Modules whose dataclasses feed result-cache keys / program and probe
+#: memos, and which therefore must also stay deterministic.
 SCOPED_MODULES: Tuple[str, ...] = (
     "repro/workloads/gemm.py",
     "repro/workloads/tiling.py",
@@ -62,8 +63,10 @@ SCOPED_MODULES: Tuple[str, ...] = (
     "repro/cpu/config.py",
     "repro/cpu/decode.py",
     "repro/cpu/fastvec.py",
+    "repro/cpu/analytic.py",
     "repro/engine/config.py",
     "repro/engine/designs.py",
+    "repro/engine/scheduler.py",
     "repro/runtime/plan.py",
     "repro/runtime/cache.py",
 )
