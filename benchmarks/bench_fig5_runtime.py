@@ -18,7 +18,7 @@ def test_fig5_runtime(benchmark, emit, settings):
     shapes = workload_shapes(settings)
     program = cached_program(shapes["DLRM-2"], settings.codegen)
     backend = resolve_backend("rasa-dmdb-wls", core=settings.core)
-    benchmark(backend.simulate, program)
+    benchmark(backend.run, program)
 
     sweep = fig5_normalized_runtime(settings)
     # The paper's qualitative claims must hold in the regenerated figure.

@@ -61,7 +61,7 @@ def test_full_models(benchmark, emit, settings):
         assert norm < 0.25, name
 
     backend = resolve_backend("rasa-dmdb-wls", core=settings.core)
-    benchmark(backend.simulate, sample)
+    benchmark(backend.run, sample)
     emit(
         "Extension E15 — whole-model GEMM suites (RASA-DMDB-WLS vs baseline)",
         format_table(

@@ -42,7 +42,7 @@ def test_suite_dedup(benchmark, emit, settings):
     for key in DESIGN_KEYS:
         backend = resolve_backend(key, core=settings.core)
         brute_cycles = sum(
-            backend.simulate(generate_gemm_program(shape, settings.codegen)).cycles
+            backend.run(generate_gemm_program(shape, settings.codegen)).cycles
             for _, shape in suite.gemms
         )
         assert totals[key].cycles == brute_cycles, key  # bit-identical totals

@@ -571,12 +571,8 @@ def cross_check_bounds(
     checks: List[BoundsCheck] = []
     for key in keys:
         report = bound_program(program, key, core=core)
-        fast = resolve_backend(key, fidelity="fast", core=core).prepare(program).run()
-        fast_ref = (
-            resolve_backend(key, fidelity="fast-ref", core=core)
-            .prepare(program)
-            .run()
-        )
+        fast = resolve_backend(key, fidelity="fast", core=core).run(program)
+        fast_ref = resolve_backend(key, fidelity="fast-ref", core=core).run(program)
         analytic = resolve_backend(key, fidelity="analytic", core=core).run_shape(
             shape, codegen
         )

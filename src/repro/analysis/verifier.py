@@ -641,16 +641,12 @@ def cross_check_counters(
             shape, codegen
         )
         if bypasses not in fast_by_policy:
-            fast_by_policy[bypasses] = (
-                resolve_backend(key, fidelity="fast", core=core)
-                .prepare(kernel.program)
-                .run()
-            )
-            fast_ref_by_policy[bypasses] = (
-                resolve_backend(key, fidelity="fast-ref", core=core)
-                .prepare(kernel.program)
-                .run()
-            )
+            fast_by_policy[bypasses] = resolve_backend(
+                key, fidelity="fast", core=core
+            ).run(kernel.program)
+            fast_ref_by_policy[bypasses] = resolve_backend(
+                key, fidelity="fast-ref", core=core
+            ).run(kernel.program)
         fast = fast_by_policy[bypasses]
         fast_ref = fast_ref_by_policy[bypasses]
         for field in ("instructions", "mm_count", "weight_loads", "bypass_count"):

@@ -108,7 +108,7 @@ from repro.experiments.toy import fig1_toy_example
 from repro.experiments.utilization_sweep import fig2_utilization
 from repro.isa.assembler import assemble, disassemble
 from repro.isa.trace import load_trace, save_trace
-from repro.runtime.cache import ResultCache, default_cache_dir
+from repro.runtime.cache import default_cache_dir
 from repro.runtime.plan import SweepPlan, SweepReport, _suite_name
 from repro.runtime.registry import FIDELITIES
 from repro.runtime.session import Session
@@ -672,10 +672,16 @@ def _parse_shard(spec: str) -> Tuple[int, int]:
 
 
 def _session_from_args(args) -> Session:
-    """One :class:`Session` per invocation, from the shared execution flags."""
-    cache = None if args.no_cache else ResultCache(args.cache_dir)
-    return Session(
-        cache=cache, workers=args.jobs, verify=getattr(args, "verify", False)
+    """One :class:`Session` per invocation, from the shared execution flags.
+
+    Built through :meth:`Session.from_env`, so ``REPRO_SWEEP_WORKERS``,
+    ``REPRO_NO_CACHE`` and ``REPRO_CACHE_DIR`` apply; explicit flags win.
+    """
+    return Session.from_env(
+        workers=args.jobs,
+        cache_dir=args.cache_dir,
+        use_cache=not args.no_cache,
+        verify=getattr(args, "verify", False),
     )
 
 
@@ -1196,14 +1202,15 @@ def _cmd_plan_show(args) -> int:
 
 def _cmd_plan_run(args) -> int:
     plan = _sharded_plan_from_args(args)
-    if plan.shard_spec is not None and args.output is None and args.no_cache:
+    session = _session_from_args(args)
+    if plan.shard_spec is not None and args.output is None and session.cache is None:
         # Refuse *before* simulating: a shard report that lands nowhere —
         # no file, no cache — cannot be merged and the work is wasted.
         raise ReproError(
-            "a sharded run with --no-cache discards its results without "
-            "-o/--output; add -o shard.json (or drop --no-cache)"
+            "a sharded run without the result cache (--no-cache or "
+            "REPRO_NO_CACHE) discards its results without -o/--output; "
+            "add -o shard.json (or enable the cache)"
         )
-    session = _session_from_args(args)
     start = time.perf_counter()
     report = session.run(plan)
     elapsed = time.perf_counter() - start
@@ -1324,13 +1331,9 @@ def _cmd_submit(args) -> int:
 def _cmd_worker(args) -> int:
     client = ServiceClient(args.url)
 
-    def _make_session() -> Session:
-        cache = None if args.no_cache else ResultCache(args.cache_dir)
-        return Session(cache=cache, workers=args.jobs)
-
     worker = ShardWorker(
         client,
-        session_factory=_make_session,
+        session_factory=lambda: _session_from_args(args),
         worker_id=args.worker_id,
         poll_interval=args.poll,
         idle_exit=args.idle_exit,

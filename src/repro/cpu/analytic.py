@@ -198,7 +198,7 @@ PROBE_CACHE_SIZE = 1024
 # -- scheduler probes ------------------------------------------------------------
 #
 # Pure functions of their arguments, memoized once per process: every
-# backend, model and pool worker in the process shares one set of probes,
+# model and pool worker in the process shares one set of probes,
 # so a sweep pays each (engine, geometry, blocking) probe once, not once per
 # point.  They return tuples so no caller can mutate a shared value.
 
@@ -383,12 +383,15 @@ def _warmup(
 class AnalyticCoreModel:
     """Closed-form (GemmShape, design) -> :class:`SimResult` estimation.
 
-    The scheduler probes behind each estimate are memoized per process on
-    their full inputs (see :data:`PROBE_CACHE_SIZE`), so every model in a
-    process — one per sweep job included — shares them: sweeping many
-    shapes against one design runs a handful of probes in total.  Assumes
-    the runtime's default ideal memory (fixed-latency tile loads); custom
-    memory hierarchies need the fast model.
+    This is the ``"analytic"`` fidelity's backend: the runtime registry
+    returns it directly, and the session dispatches jobs to
+    :meth:`run_shape`.  The scheduler probes behind each estimate are
+    memoized per process on their full inputs (see
+    :data:`PROBE_CACHE_SIZE`), so every model in a process — one per sweep
+    job included — shares them: sweeping many shapes against one design
+    runs a handful of probes in total.  Assumes the runtime's default ideal
+    memory (fixed-latency tile loads); custom memory hierarchies need the
+    fast model.
     """
 
     def __init__(

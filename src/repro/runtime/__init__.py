@@ -4,12 +4,13 @@ Every simulation in the repository — engine-bound, in-order fast-model, or
 cycle-accurate OoO — runs through this subsystem:
 
 - :mod:`repro.runtime.backend` defines the :class:`SimBackend` protocol
-  (``prepare(program)`` then ``run()`` -> :class:`repro.cpu.result.SimResult`)
-  and the three adapters wrapping :class:`repro.engine.engine.MatrixEngine`,
-  :class:`repro.cpu.fast.FastCoreModel` and
-  :class:`repro.cpu.ooo.core.OutOfOrderCore`;
-- :mod:`repro.runtime.registry` maps (design key x fidelity) to a ready
-  backend in one lookup (:func:`resolve_backend`);
+  (``run(program)`` -> :class:`repro.cpu.result.SimResult`), its
+  shape-level twin :class:`ShapeBackend` (``run_shape``), and
+  :class:`EngineBackend`, the adapter presenting engine-bound
+  :class:`repro.engine.engine.MatrixEngine` runs as ``SimResult``\\ s;
+- :mod:`repro.runtime.registry` maps (design key x fidelity) to the model
+  that runs it in one lookup (:func:`resolve_backend`) — the CPU models
+  themselves are the backends;
 - :mod:`repro.runtime.cache` persists :class:`SimResult`s in an on-disk
   JSON store keyed by a stable, *label-independent* hash of the full
   simulation input (bump :data:`CODE_VERSION` on timing or key-schema
@@ -37,14 +38,7 @@ this layer; future scaling work (multi-host sharding, async serving, new
 backends) plugs in here.
 """
 
-from repro.runtime.backend import (
-    AnalyticBackend,
-    EngineBackend,
-    FastCoreBackend,
-    OoOCoreBackend,
-    ShapeBackend,
-    SimBackend,
-)
+from repro.runtime.backend import EngineBackend, ShapeBackend, SimBackend
 from repro.runtime.cache import CODE_VERSION, ResultCache, cache_key
 from repro.runtime.plan import (
     PLAN_FORMAT,
@@ -64,10 +58,7 @@ from repro.runtime.session import PROGRAM_CACHE_SIZE, Session, cached_program
 __all__ = [
     "SimBackend",
     "ShapeBackend",
-    "AnalyticBackend",
     "EngineBackend",
-    "FastCoreBackend",
-    "OoOCoreBackend",
     "FIDELITIES",
     "register_backend",
     "resolve_backend",

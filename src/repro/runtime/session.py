@@ -137,7 +137,7 @@ def execute_job(job: SweepJob) -> SimResult:
     if run_shape is not None:
         return run_shape(job.shape, job.codegen)
     program = cached_program(job.shape, job.codegen)
-    return backend.prepare(program).run()
+    return backend.run(program)
 
 
 def _execute_indexed(item: "tuple[int, SweepJob]") -> "tuple[int, SimResult]":

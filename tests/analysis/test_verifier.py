@@ -348,7 +348,7 @@ def test_static_counters_equal_fast_model_on_every_design():
     for key in DESIGNS:
         bypasses = get_design(key).config.control.bypasses_on_reuse
         static = counters.for_policy(bypasses)
-        fast = resolve_backend(key, fidelity="fast").prepare(kernel.program).run()
+        fast = resolve_backend(key, fidelity="fast").run(kernel.program)
         assert static.instructions == fast.instructions
         assert static.mm_count == fast.mm_count
         assert static.weight_loads == fast.weight_loads

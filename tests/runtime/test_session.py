@@ -40,22 +40,15 @@ def poison_fidelity():
     survive a mid-sweep crash.
     """
     class PoisonBackend:
-        def __init__(self):
-            self._program = None
-
-        def prepare(self, program):
-            self._program = program
-            return self
-
-        def run(self):
-            mm = sum(1 for i in self._program if i.opcode.name == "RASA_MM")
+        def run(self, program):
+            mm = sum(1 for i in program if i.opcode.name == "RASA_MM")
             if mm == POISON.mm_count:
                 raise SimError("poisoned job crashed mid-sweep")
             return SimResult(
                 design="poison",
-                program=self._program.name,
+                program=program.name,
                 cycles=1000 + mm,
-                instructions=len(self._program),
+                instructions=len(program),
                 mm_count=mm,
                 bypass_count=0,
                 weight_loads=mm,
@@ -63,7 +56,7 @@ def poison_fidelity():
                 clock_mhz=2000,
             )
 
-    FIDELITIES["poison-test"] = lambda engine, core, functional: PoisonBackend()
+    FIDELITIES["poison-test"] = lambda engine, core: PoisonBackend()
     try:
         yield
     finally:
@@ -78,7 +71,7 @@ class TestSessionRun:
             for design in ("baseline", "rasa-dmdb-wls"):
                 # The session lowers the *unlabeled* shape (program memo
                 # identity); timing must match the labeled direct run.
-                direct = resolve_backend(design).simulate(
+                direct = resolve_backend(design).run(
                     generate_gemm_program(shape.unlabeled())
                 )
                 assert grid[name][design] == direct

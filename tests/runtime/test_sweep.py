@@ -62,22 +62,13 @@ def counting_fidelity():
     calls = []
 
     class CountingBackend:
-        fidelity = "counting-test"
-
-        def __init__(self):
-            self._program = None
-
-        def prepare(self, program):
-            self._program = program
-            return self
-
-        def run(self):
-            calls.append(self._program.name)
+        def run(self, program):
+            calls.append(program.name)
             return SimResult(
                 design="counting",
-                program=self._program.name,
-                cycles=100 + len(self._program),
-                instructions=len(self._program),
+                program=program.name,
+                cycles=100 + len(program),
+                instructions=len(program),
                 mm_count=1,
                 bypass_count=0,
                 weight_loads=1,
@@ -85,10 +76,7 @@ def counting_fidelity():
                 clock_mhz=2000,
             )
 
-        def simulate(self, program):
-            return self.prepare(program).run()
-
-    FIDELITIES["counting-test"] = lambda engine, core, functional: CountingBackend()
+    FIDELITIES["counting-test"] = lambda engine, core: CountingBackend()
     try:
         yield calls
     finally:
@@ -234,7 +222,7 @@ class TestSuiteTotals:
         totals = self._totals([self.SUITE])["toy-model"]
         for key in DESIGN_KEYS:
             per_layer = [
-                resolve_backend(key).simulate(generate_gemm_program(shape))
+                resolve_backend(key).run(generate_gemm_program(shape))
                 for _, shape in self.SUITE.gemms
             ]
             agg = totals[key]

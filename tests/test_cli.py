@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.cli import main
+from repro.runtime.session import Session
 
 
 class TestInformational:
@@ -560,6 +561,59 @@ class TestPlanRunAndMerge:
         capsys.readouterr()
         assert main(["plan", "merge", str(a), str(b)]) == 1
         assert "different plans" in capsys.readouterr().err
+
+
+class TestSessionEnvironment:
+    """Every CLI session honours the documented ``REPRO_*`` knobs; flags win."""
+
+    SWEEP = ["sweep", "--m", "64", "--n", "64", "--k", "64",
+             "--designs", "baseline"]
+    PLAN_RUN = ["plan", "run", "--m", "64", "--n", "64", "--k", "64",
+                "--designs", "baseline"]
+
+    @pytest.fixture
+    def session_workers(self, monkeypatch):
+        seen = []
+        init = Session.__init__
+
+        def spy(self, *args, **kwargs):
+            init(self, *args, **kwargs)
+            seen.append(self.workers)
+
+        monkeypatch.setattr(Session, "__init__", spy)
+        return seen
+
+    def test_no_cache_env_writes_no_store(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv("REPRO_NO_CACHE", "1")
+        assert main(self.SWEEP + ["--cache-dir", str(tmp_path)]) == 0
+        assert list(tmp_path.iterdir()) == []
+
+    def test_no_cache_env_refuses_a_sinkless_shard(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        monkeypatch.setenv("REPRO_NO_CACHE", "1")
+        argv = self.PLAN_RUN + ["--shard", "0/2", "--cache-dir", str(tmp_path)]
+        assert main(argv) == 1
+        assert "discards its results" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [SWEEP + ["--no-cache"], PLAN_RUN + ["--no-cache"],
+         ["worker", "--url", "http://127.0.0.1:9", "--no-cache"]],
+        ids=["sweep", "plan-run", "worker"],
+    )
+    def test_bad_workers_env_rejected(self, argv, monkeypatch, capsys):
+        monkeypatch.setenv("REPRO_SWEEP_WORKERS", "0")
+        assert main(argv) == 1
+        assert "REPRO_SWEEP_WORKERS" in capsys.readouterr().err
+
+    def test_workers_env_applies_and_jobs_flag_wins(
+        self, session_workers, monkeypatch, capsys
+    ):
+        monkeypatch.setenv("REPRO_SWEEP_WORKERS", "1")
+        assert main(self.SWEEP + ["--no-cache"]) == 0
+        assert main(self.PLAN_RUN + ["--no-cache", "--jobs", "2"]) == 0
+        assert session_workers == [1, 2]
 
 
 class TestAsmRoundtrip:
